@@ -74,23 +74,20 @@ BlockGeom block_geometry(const kernels::KernelSet<T>& ks,
   return g;
 }
 
-/// One participant's private packed-panel scratch, carved from the calling
-/// thread's arena slab in a single call (the one-carve-per-op contract:
-/// a second thread_slab call could grow the slab and invalidate the first
-/// pointer). `col_span` is the widest column range this participant's B
-/// panels can cover (n for GEMM/SYMM-style macro-loops, the triangle's
-/// column extent for SYRK). `extra_padded` prepends that many already-
-/// padded elements for op-specific scratch (TRMM's dense copy); the A
-/// panels start right after it.
+/// The caller's private packed-panel scratch for a one-participant call,
+/// carved from its thread slab in a single call (the one-carve-per-op
+/// contract: a second thread_slab call could grow the slab and invalidate
+/// the first pointer). `col_span` is the widest column range the B panel
+/// can cover. `extra_padded` prepends that many already-padded elements
+/// for op-specific scratch (TRMM's dense copy); the A panels start right
+/// after it.
 template <typename T>
 struct PanelCarve {
   T* extra = nullptr;
   T* a_pack = nullptr;
   T* b_pack = nullptr;
   /// Non-null only on the degraded path: arena growth threw bad_alloc and
-  /// the carve fell back to a per-call buffer (the PR-5 huge-TRMM fallback
-  /// generalised to every op). shared_ptr keeps the struct copyable — the
-  /// drivers pass carves by value into their macro loops.
+  /// the carve fell back to a per-call buffer.
   std::shared_ptr<AlignedBuffer<T>> fallback;
 };
 
@@ -103,7 +100,7 @@ std::size_t a_panel_elems(const kernels::KernelSet<T>& ks, int mc, int kc) {
 
 /// Elements of a packed-B block spanning min(nc, col_span) columns at depth
 /// kc: full NR-column micro-panels. The single source of the sizing for
-/// both the private carve below and GEMM's orchestrator-sized shared slab.
+/// both the private carve and the shared ping/pong pair.
 template <typename T>
 std::size_t b_panel_elems(const kernels::KernelSet<T>& ks, int nc,
                           int col_span, int kc) {
@@ -152,8 +149,8 @@ T* shared_slab_or_fallback(std::size_t count,
   }
 }
 
-/// Thread-slab sibling, for participants that carve a bare A block instead
-/// of going through carve_private_panels (GEMM's cooperative-B layout).
+/// Thread-slab sibling, for the participants of a parallel call, which
+/// each carve a bare A block beside the shared B pair.
 template <typename T>
 T* thread_slab_or_fallback(std::size_t count,
                            std::shared_ptr<AlignedBuffer<T>>& fallback) {
@@ -165,59 +162,116 @@ T* thread_slab_or_fallback(std::size_t count,
   }
 }
 
-/// Ping/pong pair of equally-sized shared-slab carves: the double-buffered
-/// B panels of the pack pipeline. One shared_slab call covers both halves
-/// (a second call could grow the slab and invalidate the first pointer);
-/// padded_count keeps the pong half 64-byte aligned. Degrades to one
-/// per-call buffer (kept alive through `fallback`) when arena growth
-/// throws, exactly like shared_slab_or_fallback. Call from the
-/// orchestrating thread before the region opens.
-template <typename T>
-struct SharedPair {
-  T* bufs[2] = {nullptr, nullptr};
-  std::shared_ptr<AlignedBuffer<T>> fallback;
+/// Which elements of its C block macro_kernel may update: all of them, or
+/// (SYRK) only those on the lower / upper triangle of the whole C, with the
+/// block's first element at (row0, col0) of the whole C.
+struct TileMask {
+  enum Kind { kDense, kLower, kUpper };
+  Kind kind = kDense;
+  int row0 = 0;
+  int col0 = 0;
 };
 
+/// The micro-tile sweep: multiplies one packed A block (mc x kc) by one
+/// packed B block (kc x nc_eff) into the C block at c, tiling with the
+/// dispatched kernel geometry. Under a triangle mask, micro-tiles wholly
+/// outside the triangle are skipped, wholly inside run as usual, and tiles
+/// crossing the diagonal are computed into a zeroed scratch tile whose
+/// triangle part is then added to C. The caller guarantees
+/// ks.mr <= kMaxMr and ks.nr <= kMaxNr for masked sweeps.
 template <typename T>
-SharedPair<T> carve_shared_pair(std::size_t count) {
-  const std::size_t padded = PackArena::padded_count<T>(count);
-  SharedPair<T> pair;
-  T* base = shared_slab_or_fallback<T>(2 * padded, pair.fallback);
-  pair.bufs[0] = base;
-  pair.bufs[1] = base + padded;
-  return pair;
+void macro_kernel(const kernels::KernelSet<T>& ks, int mc, int nc_eff, int kc,
+                  T alpha, const T* a_pack, const T* b_pack, T* c, int ldc,
+                  TileMask mask = {}) {
+  const int mr = ks.mr;
+  const int nr = ks.nr;
+  const bool lower = mask.kind == TileMask::kLower;
+  for (int jr = 0; jr < nc_eff; jr += nr) {
+    const int cols = std::min(nr, nc_eff - jr);
+    const T* b_panel = b_pack + static_cast<long>(jr / nr) * kc * nr;
+    for (int ir = 0; ir < mc; ir += mr) {
+      const int rows = std::min(mr, mc - ir);
+      const T* a_panel = a_pack + static_cast<long>(ir / mr) * kc * mr;
+      T* c_tile = c + static_cast<long>(ir) * ldc + jr;
+      if (mask.kind != TileMask::kDense) {
+        const int gi = mask.row0 + ir;
+        const int gj = mask.col0 + jr;
+        const bool outside = lower ? gj > gi + rows - 1 : gj + cols - 1 < gi;
+        if (outside) continue;
+        const bool inside = lower ? gj + cols - 1 <= gi : gj >= gi + rows - 1;
+        if (!inside) {
+          T tile[kernels::kMaxMr * kernels::kMaxNr];
+          std::fill_n(tile, static_cast<std::size_t>(rows) * nr, T(0));
+          ks.edge(kc, alpha, a_panel, b_panel, tile, nr, rows, cols);
+          for (int i = 0; i < rows; ++i) {
+            for (int j = 0; j < cols; ++j) {
+              const bool in_triangle = lower ? gj + j <= gi + i
+                                             : gj + j >= gi + i;
+              if (in_triangle) {
+                c_tile[static_cast<long>(i) * ldc + j] += tile[i * nr + j];
+              }
+            }
+          }
+          continue;
+        }
+      }
+      if (rows == mr && cols == nr) {
+        ks.full(kc, alpha, a_panel, b_panel, c_tile, ldc);
+      } else {
+        ks.edge(kc, alpha, a_panel, b_panel, c_tile, ldc, rows, cols);
+      }
+    }
+  }
 }
 
-/// The pipelined level-3 macro-loop, run by EVERY participant of a parallel
-/// region (GEMM first, and the SYMM/TRMM loops that share its structure).
-/// Enumerates the (jc, pc) panel grid in order; for each panel the
-/// cooperative pack of the NEXT panel proceeds into the other half of the
-/// ping/pong pair while this panel is computed, and MC-row tiles are
-/// claimed through the stealable deck instead of a static row split.
+/// One MC-row tile of one (jc, pc) panel: the unit of work a driver's
+/// tile_op computes.
+template <typename T>
+struct PanelTile {
+  int jc = 0;  ///< first C column of the panel's jc block
+  int pc = 0;  ///< first depth index of the panel's kc slab
+  int ic = 0;  ///< first C row of the tile
+  int nc = 0;  ///< columns of the jc block (short on the right edge)
+  int kc = 0;  ///< depth of the kc slab (short on the last slab)
+  int mc = 0;  ///< rows of the tile (short on the bottom edge)
+  /// True on the jc block's first pc panel — where a driver folds its beta
+  /// scale into the tile, first-touch style, so no separate pre-scale
+  /// barrier orders against stolen tiles.
+  bool first_of_jc = false;
+  T* a_pack = nullptr;        ///< this participant's private packed-A block
+  const T* b_pack = nullptr;  ///< the panel's packed-B block
+};
+
+/// The level-3 macro-loop, run by EVERY participant of a call (GEMM, SYRK,
+/// SYMM and TRMM). Enumerates the (jc, pc) panel grid in order; MC-row
+/// tiles are claimed through the stealable deck instead of a static row
+/// split. With several participants, the cooperative pack of the NEXT
+/// panel proceeds into the other half of the ping/pong pair while this
+/// panel is computed. A lone participant (nt == 1) has nothing to overlap
+/// a pack with: it packs each panel right before computing it, so the
+/// driver may point both halves of `b_bufs` at one buffer.
 ///
 ///   pack_chunk(jc, pc, kc_eff, q, dst)
 ///     packs NR-column micro-panel q (columns [jc + q*nr, ...)) of the
 ///     kc_eff-deep B block into dst (contiguous kc_eff * nr elements).
-///   tile_op(jc, pc, nc_eff, kc_eff, first_panel_of_jc, ic, mc_eff, b_buf)
-///     computes C rows [ic, ic+mc_eff) x columns [jc, jc+nc_eff) against
-///     the packed B block at b_buf. `first_panel_of_jc` is true on the
-///     jc-block's first pc iteration — where a driver folds its beta scale
-///     into the tile, first-touch style, so no separate pre-scale barrier
-///     orders against the stolen tiles.
+///   tile_op(const PanelTile<T>&)
+///     computes the tile's C rows against its packed B block, packing its
+///     A block into the tile's a_pack (this participant's private block).
 ///
-/// The caller sizes each half of `b_bufs` for the widest panel
-/// (b_panel_elems at the resolved kc/nc); within a panel the packed layout
-/// is q * kc_eff * nr, matching the pre-pipeline cooperative pack.
+/// Each half of `b_bufs` is sized for the widest panel (b_panel_elems at
+/// the resolved kc/nc); within a panel the packed layout is q * kc_eff * nr.
 template <typename T, typename PackChunkFn, typename TileOpFn>
 void pipelined_macro_loop(std::size_t tid, std::size_t nt, int rows, int cols,
                           int kdim, const BlockGeom& g, int nr,
-                          T* const (&b_bufs)[2], PackPipeline& pipe,
-                          TileDeck& deck, PackChunkFn&& pack_chunk,
-                          TileOpFn&& tile_op) {
+                          T* const (&b_bufs)[2], T* a_pack,
+                          PackPipeline& pipe, TileDeck& deck,
+                          PackChunkFn&& pack_chunk, TileOpFn&& tile_op) {
   const int t = static_cast<int>(tid);
   const long pc_steps = (kdim + g.kc - 1) / g.kc;
   const long jc_steps = (cols + g.nc - 1) / g.nc;
   const long total_panels = jc_steps * pc_steps;
+  // How many panels ahead of the computed one this participant packs.
+  const long lead = nt > 1 ? 1 : 0;
 
   PipelineStats& stats = pipeline_stats();
   const bool timed = stats.timing_enabled.load(std::memory_order_relaxed);
@@ -246,27 +300,29 @@ void pipelined_macro_loop(std::size_t tid, std::size_t nt, int rows, int cols,
   };
 
   // Pipeline prologue: panel 0 is packed cooperatively before any compute.
-  pack_share(0);
+  if (lead > 0) pack_share(0);
 
   for (long panel = 0; panel < total_panels; ++panel) {
-    // Pack-ahead: panel+1 goes into the other buffer while panel computes.
-    // The only steady-state wait inside pack_share is the previous panel
-    // draining — one synchronisation point per panel, not two barriers.
-    if (panel + 1 < total_panels) pack_share(panel + 1);
+    // Pack-ahead: panel+1 goes into the other buffer while panel computes
+    // (a lone participant packs panel itself here). The only steady-state
+    // wait inside pack_share is the previous panel draining — one
+    // synchronisation point per panel, not two barriers.
+    if (panel + lead < total_panels) pack_share(panel + lead);
 
     pipe.wait_computable(panel);
-    const int jc = static_cast<int>(panel / pc_steps) * g.nc;
-    const int pc = static_cast<int>(panel % pc_steps) * g.kc;
-    const int nc_eff = std::min(g.nc, cols - jc);
-    const int kc_eff = std::min(g.kc, kdim - pc);
-    const bool first_of_jc = pc == 0;
-    const T* b_buf = b_bufs[panel & 1];
+    PanelTile<T> tile;
+    tile.jc = static_cast<int>(panel / pc_steps) * g.nc;
+    tile.pc = static_cast<int>(panel % pc_steps) * g.kc;
+    tile.nc = std::min(g.nc, cols - tile.jc);
+    tile.kc = std::min(g.kc, kdim - tile.pc);
+    tile.first_of_jc = tile.pc == 0;
+    tile.a_pack = a_pack;
+    tile.b_pack = b_bufs[panel & 1];
     const std::uint64_t t0 = timed ? stats_now_ns() : 0;
-    for (int tile = deck.claim(t, panel); tile >= 0;
-         tile = deck.claim(t, panel)) {
-      const int ic = tile * g.mc;
-      const int mc_eff = std::min(g.mc, rows - ic);
-      tile_op(jc, pc, nc_eff, kc_eff, first_of_jc, ic, mc_eff, b_buf);
+    for (int r = deck.claim(t, panel); r >= 0; r = deck.claim(t, panel)) {
+      tile.ic = r * g.mc;
+      tile.mc = std::min(g.mc, rows - tile.ic);
+      tile_op(tile);
       ++tiles_done;
     }
     if (timed) compute_ns += stats_now_ns() - t0;
@@ -278,6 +334,73 @@ void pipelined_macro_loop(std::size_t tid, std::size_t nt, int rows, int cols,
     stats.pack_ns.fetch_add(pack_ns, std::memory_order_relaxed);
     stats.compute_ns.fetch_add(compute_ns, std::memory_order_relaxed);
   }
+}
+
+/// The one level-3 driver. GEMM, SYRK, SYMM and TRMM resolve their
+/// prologue, then hand their pack_chunk / tile_op pair (see
+/// pipelined_macro_loop) to this helper, which owns the arena carve, the
+/// PackPipeline / TileDeck and the parallel region for `rows` x `cols` of
+/// output at depth `kdim`:
+///
+///   p > 1  — ONE shared-slab carve holds `extra_elems` of op scratch and
+///            the ping/pong B pair (shared_slab always returns the slab
+///            base, so a second call would alias the first); each
+///            participant carves its own A block from its thread slab.
+///   p == 1 — including nested-region degradation: ONE carve_private_panels
+///            call on the caller's thread slab holds the scratch, the A
+///            block and a single B buffer. A degraded call never touches
+///            the shared slab: two of them, on two participants of an outer
+///            region, would alias it.
+///
+/// `prepare(extra)` runs on the calling thread after the carve and before
+/// the macro-loop region opens (TRMM's dense B copy); `extra` is null when
+/// extra_elems == 0.
+template <typename T, typename PrepareFn, typename PackChunkFn,
+          typename TileOpFn>
+void run_macro_loop(std::size_t p, const kernels::KernelSet<T>& ks,
+                    const BlockGeom& g, int rows, int cols, int kdim,
+                    std::size_t extra_elems, PrepareFn&& prepare,
+                    PackChunkFn&& pack_chunk, TileOpFn&& tile_op) {
+  const std::size_t extra_padded = PackArena::padded_count<T>(extra_elems);
+  PackPipeline pipe(p);
+  TileDeck deck(p, (rows + g.mc - 1) / g.mc);
+
+  if (p == 1) {
+    const PanelCarve<T> carve = carve_private_panels<T>(
+        ks, g.mc, g.kc, g.nc, cols, extra_padded);
+    prepare(extra_elems > 0 ? carve.extra : nullptr);
+    T* const b_bufs[2] = {carve.b_pack, carve.b_pack};
+    pipelined_macro_loop<T>(0, 1, rows, cols, kdim, g, ks.nr, b_bufs,
+                            carve.a_pack, pipe, deck, pack_chunk, tile_op);
+    return;
+  }
+
+  const std::size_t pair_padded =
+      PackArena::padded_count<T>(b_panel_elems(ks, g.nc, cols, g.kc));
+  std::shared_ptr<AlignedBuffer<T>> shared_fallback;
+  T* base = shared_slab_or_fallback<T>(extra_padded + 2 * pair_padded,
+                                       shared_fallback);
+  prepare(extra_elems > 0 ? base : nullptr);
+  T* const b_bufs[2] = {base + extra_padded,
+                        base + extra_padded + pair_padded};
+  const std::size_t a_elems = a_panel_elems(ks, g.mc, g.kc);
+
+  ThreadPool& pool = ThreadPool::global();
+  pool.parallel_region(p, [&](std::size_t tid, std::size_t nt) {
+    std::shared_ptr<AlignedBuffer<T>> a_fallback;
+    T* a_pack = thread_slab_or_fallback<T>(a_elems, a_fallback);
+    pipelined_macro_loop<T>(tid, nt, rows, cols, kdim, g, ks.nr, b_bufs,
+                            a_pack, pipe, deck, pack_chunk, tile_op);
+  });
+}
+
+/// run_macro_loop for the ops without extra scratch (GEMM, SYRK, SYMM).
+template <typename T, typename PackChunkFn, typename TileOpFn>
+void run_macro_loop(std::size_t p, const kernels::KernelSet<T>& ks,
+                    const BlockGeom& g, int rows, int cols, int kdim,
+                    PackChunkFn&& pack_chunk, TileOpFn&& tile_op) {
+  run_macro_loop<T>(p, ks, g, rows, cols, kdim, 0, [](T*) {}, pack_chunk,
+                    tile_op);
 }
 
 /// Serial `row *= factor` over rows [row_lo, row_hi) of an ncols-wide

@@ -60,6 +60,18 @@ void pack_a_trans(const T* a, int lda, int mc, int kc, int mr, T* dst) {
   }
 }
 
+/// The A-side twin of pack_b_chunk: packs logical rows [ic, ic+mc) x depth
+/// [pc, pc+kc) of op(A), dispatching on the transpose.
+template <typename T>
+void pack_a_block(bool trans, const T* a, int lda, int ic, int pc, int mc,
+                  int kc, int mr, T* dst) {
+  if (!trans) {
+    pack_a(a + static_cast<long>(ic) * lda + pc, lda, mc, kc, mr, dst);
+  } else {
+    pack_a_trans(a + static_cast<long>(pc) * lda + ic, lda, mc, kc, mr, dst);
+  }
+}
+
 /// Packs the mc x kc block of a *symmetric* matrix whose top-left logical
 /// element is (row0, col0), reading every element from the stored triangle:
 /// logical A(i, p) comes from a[i*lda + p] when (i, p) lies in the stored

@@ -6,13 +6,13 @@
 //   C <- alpha * A^T * A + beta * C        (trans == kYes, A is k x n)
 //
 // Row-major; only the `uplo` triangle of C (including the diagonal) is
-// referenced and updated. Threading partitions the row blocks of the
-// triangle with a balanced assignment (lower rows carry more work).
+// referenced and updated.
 //
-// The update runs on the same packed-panel machinery as GEMM: operands are
-// packed into micro-panels and multiplied by the runtime-dispatched
-// KernelSet; tiles crossing the diagonal are computed into a scratch tile
-// and written back through a triangle mask.
+// The update runs on GEMM's pipelined macro-loop: operands are packed into
+// micro-panels and multiplied by the runtime-dispatched KernelSet, row
+// tiles outside a column block's triangle are skipped (stealing absorbs the
+// resulting load skew), and tiles crossing the diagonal are computed into a
+// scratch tile and written back through a triangle mask.
 #pragma once
 
 #include "blas/gemm.h"

@@ -1,10 +1,11 @@
 // Concurrency and ragged-shape coverage for the pack pipeline
 // (blas/pack_pipeline.h): the ping/pong PackPipeline epochs and the
 // TileDeck steal index are hammered directly from raw std::threads (the
-// TSan CI leg runs this binary), and the pipelined GEMM/SYMM/TRMM drivers
-// are verified against their references on the adversarial shapes the old
-// static row split handled worst — tall-skinny, wide, fewer row tiles than
-// threads, and a k < kc single-panel degenerate.
+// TSan CI leg runs this binary), and the GEMM/SYRK/SYMM/TRMM drivers on the
+// shared macro-loop are verified against their references on the
+// adversarial shapes a static row split handles worst — tall-skinny, wide,
+// fewer row tiles than threads, and a k < kc single-panel degenerate — for
+// bit-identity across thread counts, and from inside a parallel region.
 //
 // The global pool is forced to 4 threads via ADSALA_THREADS before its
 // first use (the static initializer below runs pre-main): on a small CI
@@ -12,9 +13,12 @@
 // pipeline would never engage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -23,6 +27,7 @@
 #include "blas/gemm.h"
 #include "blas/pack_pipeline.h"
 #include "blas/symm.h"
+#include "blas/syrk.h"
 #include "blas/trmm.h"
 #include "common/pack_arena.h"
 #include "common/rng.h"
@@ -230,31 +235,97 @@ TEST(RaggedShapes, GemmAllTransCombosDouble) {
   }
 }
 
-TEST(RaggedShapes, ResultsBitIdenticalAcrossThreadCountsAndRuns) {
-  // The steal deck reorders which THREAD computes a tile, never the
-  // per-element arithmetic: every (thread count, run) pair must agree bit
-  // for bit, including the serial path (same blocking, same accumulation
-  // order).
-  const int m = 517, n = 203, k = 131;  // off every blocking grid
-  const auto a = random_matrix<float>(m, k, 21);
-  const auto b = random_matrix<float>(k, n, 22);
-  const auto c0 = random_matrix<float>(m, n, 23);
-
-  auto run = [&](int nthreads) {
-    auto c = c0;
-    gemm<float>(Trans::kNo, Trans::kNo, m, n, k, 1.5f, a.data(), k, b.data(),
-                n, 0.25f, c.data(), n, nthreads);
-    return c;
-  };
-
+/// memcmp's run(nthreads) at every nthreads in {1, 2, 3, 4}, three runs
+/// each, against the first one-thread result.
+template <typename Run>
+void expect_bit_identical_across_threads(const std::string& what, Run run) {
   const auto reference_run = run(1);
   for (const int nthreads : {1, 2, 3, 4}) {
     for (int rep = 0; rep < 3; ++rep) {
-      const auto c = run(nthreads);
-      ASSERT_EQ(std::memcmp(c.data(), reference_run.data(),
-                            c.size() * sizeof(float)),
-                0)
-          << "nthreads=" << nthreads << " rep=" << rep;
+      const auto out = run(nthreads);
+      if (std::memcmp(out.data(), reference_run.data(),
+                      out.size() * sizeof(out[0])) != 0) {
+        ADD_FAILURE() << what << ": nthreads=" << nthreads << " rep=" << rep
+                      << " differs from the one-thread result";
+        return;
+      }
+    }
+  }
+}
+
+TEST(RaggedShapes, ResultsBitIdenticalAcrossThreadCountsAndRuns) {
+  // The steal deck reorders which THREAD computes a tile, never the
+  // per-element arithmetic: every (thread count, run) pair must agree bit
+  // for bit with the one-thread run, for every op on the macro-loop. The
+  // shapes sit off every blocking grid (MC, NR, MR).
+  {
+    const int m = 517, n = 203, k = 131;
+    const auto a = random_matrix<float>(m, k, 21);
+    const auto b = random_matrix<float>(k, n, 22);
+    const auto c0 = random_matrix<float>(m, n, 23);
+    expect_bit_identical_across_threads("gemm", [&](int nthreads) {
+      auto c = c0;
+      gemm<float>(Trans::kNo, Trans::kNo, m, n, k, 1.5f, a.data(), k,
+                  b.data(), n, 0.25f, c.data(), n, nthreads);
+      return c;
+    });
+  }
+  {
+    // SYRK's diagonal-crossing micro-tiles used to shift with the thread
+    // count when each thread's rows started wherever an area split put them.
+    const int n = 517, k = 203;
+    const auto a = random_matrix<float>(n, k, 24);  // n x k or k x n
+    const auto c0 = random_matrix<float>(n, n, 25);
+    for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+        const int lda = trans == Trans::kNo ? k : n;
+        expect_bit_identical_across_threads(
+            "syrk uplo=" + std::to_string(static_cast<int>(uplo)) +
+                " trans=" + std::to_string(static_cast<int>(trans)),
+            [&](int nthreads) {
+              auto c = c0;
+              syrk<float>(uplo, trans, n, k, 1.5f, a.data(), lda, 0.25f,
+                          c.data(), n, nthreads);
+              return c;
+            });
+      }
+    }
+  }
+  {
+    const int n = 259, m = 203;
+    const auto a = random_matrix<float>(n, n, 26);
+    const auto b = random_matrix<float>(n, m, 27);
+    const auto c0 = random_matrix<float>(n, m, 28);
+    for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      expect_bit_identical_across_threads(
+          "symm uplo=" + std::to_string(static_cast<int>(uplo)),
+          [&](int nthreads) {
+            auto c = c0;
+            symm<float>(uplo, n, m, 1.5f, a.data(), n, b.data(), m, 0.25f,
+                        c.data(), m, nthreads);
+            return c;
+          });
+    }
+  }
+  {
+    const int n = 259, m = 131;
+    const auto a = random_matrix<float>(n, n, 29);
+    const auto b0 = random_matrix<float>(n, m, 30);
+    for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+        for (const Diag diag : {Diag::kNonUnit, Diag::kUnit}) {
+          expect_bit_identical_across_threads(
+              "trmm uplo=" + std::to_string(static_cast<int>(uplo)) +
+                  " trans=" + std::to_string(static_cast<int>(trans)) +
+                  " diag=" + std::to_string(static_cast<int>(diag)),
+              [&](int nthreads) {
+                auto b = b0;
+                trmm<float>(uplo, trans, diag, n, m, 1.5f, a.data(), n,
+                            b.data(), m, nthreads);
+                return b;
+              });
+        }
+      }
     }
   }
 }
@@ -262,36 +333,66 @@ TEST(RaggedShapes, ResultsBitIdenticalAcrossThreadCountsAndRuns) {
 TEST(RaggedShapes, PipelineCountersMatchSchedule) {
   // tiles/panels are schedule invariants: every (jc, pc) panel is packed
   // once and every row tile computed once per panel, no matter which thread
-  // got it. Deterministic even under stealing.
+  // got it. One thread runs the same macro-loop, so the panel grid does not
+  // depend on the thread count either. Deterministic even under stealing.
   auto& stats = detail::pipeline_stats();
   const int m = 1201, n = 640, k = 512;
   const auto a = random_matrix<float>(m, k, 31);
   const auto b = random_matrix<float>(k, n, 32);
   auto c = random_matrix<float>(m, n, 33);
+  const auto sq = random_matrix<float>(n, n, 34);  // SYMM / TRMM's A
 
   GemmTuning tuning;
   tuning.mc = 256;
   tuning.kc = 128;
   tuning.nc = 320;
-  const std::size_t p = std::min<std::size_t>(
-      4, ThreadPool::global().max_threads());
-  if (p < 2) GTEST_SKIP() << "needs a multi-thread pool";
 
-  const auto panels_before = stats.panels.load(std::memory_order_relaxed);
-  const auto tiles_before = stats.tiles.load(std::memory_order_relaxed);
-  gemm<float>(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k, b.data(),
-              n, 0.0f, c.data(), n, static_cast<int>(p), tuning);
+  // Runs `call`; returns its panel count and row tiles per panel.
+  auto counted = [&](const char* what, auto call) {
+    const auto panels_before = stats.panels.load(std::memory_order_relaxed);
+    const auto tiles_before = stats.tiles.load(std::memory_order_relaxed);
+    call();
+    const auto panels =
+        stats.panels.load(std::memory_order_relaxed) - panels_before;
+    const auto tiles =
+        stats.tiles.load(std::memory_order_relaxed) - tiles_before;
+    EXPECT_GT(panels, 0u) << what;
+    if (panels == 0) return std::pair<std::uint64_t, std::uint64_t>{0, 0};
+    EXPECT_EQ(tiles % panels, 0u)
+        << what << ": every panel computes every row tile";
+    return std::pair{panels, tiles / panels};
+  };
 
-  // Resolved blocking: mc=252/kc=128/nc rounded to the kernel's nr — read
-  // the realised counts instead of re-deriving nr here.
-  const auto panels =
-      stats.panels.load(std::memory_order_relaxed) - panels_before;
-  const auto tiles =
-      stats.tiles.load(std::memory_order_relaxed) - tiles_before;
-  ASSERT_GT(panels, 0u);
-  EXPECT_EQ(tiles % panels, 0u) << "every panel computes every row tile";
-  const auto row_tiles = tiles / panels;
-  EXPECT_GE(row_tiles, 5u);  // m=1201 over mc<=256 is at least 5 tiles
+  // Panel counts of gemm, syrk, symm and trmm at p threads; also checks
+  // GEMM's row tiles. (SYRK picks smaller row tiles when p > 1.)
+  auto panels_at = [&](int p) {
+    std::vector<std::uint64_t> out;
+    const auto [gemm_panels, gemm_row_tiles] = counted("gemm", [&] {
+      gemm<float>(Trans::kNo, Trans::kNo, m, n, k, 1.0f, a.data(), k,
+                  b.data(), n, 0.0f, c.data(), n, p, tuning);
+    });
+    // m=1201 over mc<=256 is at least 5 row tiles.
+    EXPECT_GE(gemm_row_tiles, 5u);
+    out.push_back(gemm_panels);
+    out.push_back(counted("syrk", [&] {
+      syrk<float>(Uplo::kLower, Trans::kNo, n, k, 1.0f, b.data(), k, 0.5f,
+                  c.data(), n, p, tuning);
+    }).first);
+    out.push_back(counted("symm", [&] {
+      symm<float>(Uplo::kUpper, n, k, 1.0f, sq.data(), n, b.data(), k, 0.5f,
+                  c.data(), n, p, tuning);
+    }).first);
+    out.push_back(counted("trmm", [&] {
+      trmm<float>(Uplo::kLower, Trans::kNo, Diag::kNonUnit, n, k, 1.0f,
+                  sq.data(), n, c.data(), n, p, tuning);
+    }).first);
+    return out;
+  };
+
+  const int p_max = static_cast<int>(
+      std::min<std::size_t>(4, ThreadPool::global().max_threads()));
+  EXPECT_EQ(panels_at(1), panels_at(p_max))
+      << "the panel grid must not depend on p";
 }
 
 // ----------------------------------------------- SYMM / TRMM through it --
@@ -336,6 +437,94 @@ TEST(RaggedShapes, TrmmMatchesReference) {
         }
       }
     }
+  }
+}
+
+// ------------------------------------------ calls from inside a region --
+
+TEST(NestedRegion, ParticipantsRunPrivateOneThreadCalls) {
+  // An op called from inside a parallel region resolves to one thread and
+  // carves its scratch (packed panels, TRMM's dense copy) from the calling
+  // thread's slab, never the arena's one shared slab: concurrent degraded
+  // calls on the shared slab would alias each other's panels. Each
+  // participant runs every macro-loop op on its own operands, with shapes
+  // differing per participant, repeatedly and after a start line so the
+  // calls overlap, and checks each result against the reference. Worker
+  // threads only record mismatches; the asserts run after the join.
+  constexpr std::size_t kParticipants = 4;
+  constexpr int kReps = 10;
+  std::vector<std::string> failures(kParticipants);
+  std::atomic<std::size_t> arrived{0};
+
+  ThreadPool::global().parallel_region(
+      kParticipants, [&](std::size_t tid, std::size_t nt) {
+        const int id = static_cast<int>(tid);
+        const int n = 150 + 13 * id, m = 130 + 11 * id, k = 110 + 7 * id;
+        const int lda = std::max(n, k);
+        const int ldc = std::max(n, m);
+        const std::uint64_t seed = 100 + 10 * tid;
+        const auto a = random_matrix<float>(n, lda, seed);
+        const auto b = random_matrix<float>(lda, m, seed + 1);
+        const auto c0 = random_matrix<float>(n, ldc, seed + 2);
+
+        // One (op, reference result, call) triple per macro-loop op.
+        struct Case {
+          const char* op;
+          std::vector<float> want;
+          std::function<void(float*)> run;
+        };
+        std::vector<Case> cases;
+        cases.push_back({"gemm", c0, [&](float* c) {
+          gemm<float>(Trans::kNo, Trans::kNo, n, m, k, 1.5f, a.data(), lda,
+                      b.data(), m, 0.5f, c, ldc, 4);
+        }});
+        reference_gemm<float>(Trans::kNo, Trans::kNo, n, m, k, 1.5f, a.data(),
+                              lda, b.data(), m, 0.5f,
+                              cases.back().want.data(), ldc);
+        cases.push_back({"syrk", c0, [&](float* c) {
+          syrk<float>(Uplo::kLower, Trans::kNo, n, k, 1.5f, a.data(), lda,
+                      0.5f, c, ldc, 4);
+        }});
+        reference_syrk<float>(Uplo::kLower, Trans::kNo, n, k, 1.5f, a.data(),
+                              lda, 0.5f, cases.back().want.data(), ldc);
+        cases.push_back({"symm", c0, [&](float* c) {
+          symm<float>(Uplo::kUpper, n, m, 1.5f, a.data(), lda, b.data(), m,
+                      0.5f, c, ldc, 4);
+        }});
+        reference_symm<float>(Uplo::kUpper, n, m, 1.5f, a.data(), lda,
+                              b.data(), m, 0.5f, cases.back().want.data(),
+                              ldc);
+        cases.push_back({"trmm", c0, [&](float* c) {
+          trmm<float>(Uplo::kLower, Trans::kYes, Diag::kNonUnit, n, m, 1.5f,
+                      a.data(), lda, c, ldc, 4);
+        }});
+        reference_trmm<float>(Uplo::kLower, Trans::kYes, Diag::kNonUnit, n, m,
+                              1.5f, a.data(), lda, cases.back().want.data(),
+                              ldc);
+
+        arrived.fetch_add(1, std::memory_order_acq_rel);
+        while (arrived.load(std::memory_order_acquire) < nt) {
+          std::this_thread::yield();
+        }
+        for (int rep = 0; rep < kReps && failures[tid].empty(); ++rep) {
+          for (const Case& cs : cases) {
+            auto c = c0;
+            cs.run(c.data());
+            for (std::size_t i = 0; i < c.size(); ++i) {
+              if (std::abs(c[i] - cs.want[i]) > 1e-3f * lda) {
+                failures[tid] = std::string(cs.op) + " rep " +
+                                std::to_string(rep) + " at " +
+                                std::to_string(i);
+                break;
+              }
+            }
+          }
+        }
+      });
+
+  for (std::size_t t = 0; t < kParticipants; ++t) {
+    EXPECT_TRUE(failures[t].empty())
+        << "participant " << t << ": " << failures[t];
   }
 }
 
