@@ -278,29 +278,36 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Every regime can run on more than one thread, so its time and GFLOPS
+  // rate are wall-clock (UseRealTime), not the main thread's CPU time.
   for (const auto variant : kernels::supported_variants()) {
     const std::string suffix = kernels::variant_name(variant);
     benchmark::RegisterBenchmark(("BM_SgemmSquare/" + suffix).c_str(),
                                  BM_SgemmSquare, variant)
         ->ArgsProduct({{128, 512, 1024}, {1, 4, 0 /* all */}})
-        ->Unit(benchmark::kMicrosecond);
+        ->Unit(benchmark::kMicrosecond)
+      ->UseRealTime();
     benchmark::RegisterBenchmark(("BM_SgemmSkinny/" + suffix).c_str(),
                                  BM_SgemmSkinny, variant)
         ->ArgsProduct({{512, 2048}, {1, 4, 0}})
-        ->Unit(benchmark::kMicrosecond);
+        ->Unit(benchmark::kMicrosecond)
+      ->UseRealTime();
     benchmark::RegisterBenchmark(("BM_DgemmSquare/" + suffix).c_str(),
                                  BM_DgemmSquare, variant)
         ->Arg(512)
-        ->Unit(benchmark::kMicrosecond);
+        ->Unit(benchmark::kMicrosecond)
+      ->UseRealTime();
     benchmark::RegisterBenchmark(("BM_SgemmSmallRepeat/" + suffix).c_str(),
                                  BM_SgemmSmallRepeat, variant)
         ->Unit(benchmark::kMicrosecond)
+        ->UseRealTime()
         ->MinTime(0.5);
   }
   if (kernels::cpu_supports_avx512()) {
     benchmark::RegisterBenchmark("BM_KernelTierRatio1024",
                                  BM_KernelTierRatio1024)
         ->Unit(benchmark::kSecond)
+        ->UseRealTime()
         ->Iterations(1);
   }
   // Pack-pipeline regimes (active variant, max threads): square and ragged
@@ -308,11 +315,13 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark("BM_PackComputeOverlap/square",
                                BM_PackComputeOverlap, false)
       ->Arg(512)->Arg(1024)->Arg(2048)
-      ->Unit(benchmark::kMicrosecond);
+      ->Unit(benchmark::kMicrosecond)
+      ->UseRealTime();
   benchmark::RegisterBenchmark("BM_PackComputeOverlap/ragged",
                                BM_PackComputeOverlap, true)
       ->Arg(512)->Arg(1024)->Arg(2048)
-      ->Unit(benchmark::kMicrosecond);
+      ->Unit(benchmark::kMicrosecond)
+      ->UseRealTime();
 
   // Console output for humans plus BENCH_gemm_kernel.json for the perf
   // trajectory (same convention as the BenchJson figure benches). An

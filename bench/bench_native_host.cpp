@@ -12,6 +12,7 @@
 // ADSALA_BENCH_NATIVE_OPS (comma list of registered ops, default gemm),
 // ADSALA_BENCH_NATIVE_DIR (artefact directory, default native_artifacts),
 // ADSALA_BENCH_MODEL (pin one registry model, as in bench_util.h).
+#include <cmath>
 #include <filesystem>
 #include <string>
 
@@ -113,24 +114,30 @@ int main() {
           executor.measure_op(op, shape, executor.max_threads(), 3);
       speedups.push_back(t_max / t_ml);
     }
+    // Speedups are ratios: the geometric mean is their average (one 77x
+    // outlier would dominate an arithmetic mean), and the worst decile is
+    // where a tuner loses to the default.
+    std::vector<double> logs;
+    for (const double s : speedups) logs.push_back(std::log(s));
+    const double geomean = std::exp(mean(logs));
+    const double p10 = percentile(speedups, 10);
     std::printf(
         "\n%s speedup over always-max-threads on %zu fresh shapes:\n"
-        "  mean %.2f   median %.2f   p25 %.2f   p75 %.2f   min %.2f   "
-        "max %.2f\n",
-        blas::op_name(op), speedups.size(), mean(speedups),
-        percentile(speedups, 50), percentile(speedups, 25),
-        percentile(speedups, 75), min_of(speedups), max_of(speedups));
+        "  geomean %.2f   p10 %.2f   median %.2f   min %.2f   max %.2f\n",
+        blas::op_name(op), speedups.size(), geomean, p10,
+        percentile(speedups, 50), min_of(speedups), max_of(speedups));
 
     JsonObject row;
     row["op"] = Json(blas::op_name(op));
-    row["mean_speedup"] = Json(mean(speedups));
+    row["geomean_speedup"] = Json(geomean);
+    row["p10_speedup"] = Json(p10);
     row["median_speedup"] = Json(percentile(speedups, 50));
     row["min_speedup"] = Json(min_of(speedups));
     row["max_speedup"] = Json(max_of(speedups));
     json.add(std::move(row));
   }
 
-  std::printf("\n[expectation] mean >= 1: thread selection should not lose "
-              "to the max-thread default on small/medium shapes\n");
+  std::printf("\n[expectation] geomean >= 1: thread selection should not "
+              "lose to the max-thread default on small/medium shapes\n");
   return 0;
 }

@@ -10,7 +10,7 @@
 // the thread count per shape, and compares the measured runtime at that
 // count against the platform-maximum default — the paper's speedup
 // criterion, per operation. It also counts how often the op-aware answer
-// differs from the GEMM-proxy heuristic older artefacts fall back to.
+// differs from the GEMM-proxy answer a GEMM-only model gives.
 // Results land in BENCH_<op>_select.json.
 #pragma once
 

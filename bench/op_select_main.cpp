@@ -8,8 +8,8 @@
 // Per family, the bench compares the measured runtime at the model-selected
 // thread count against the platform maximum (the paper's "as many threads as
 // cores" default) over an independent test set, and reports how often the
-// op-aware answer differs from the GEMM-proxy heuristic older artefacts fall
-// back to. Results land in BENCH_<op>_select.json.
+// op-aware answer differs from the GEMM-proxy answer a GEMM-only model
+// gives. Results land in BENCH_<op>_select.json.
 #include <cstdio>
 
 #include "op_select_common.h"

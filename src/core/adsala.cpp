@@ -19,11 +19,9 @@ namespace adsala::core {
 
 namespace {
 
-/// Format stamps written by save() and validated by try_load(). Absent
-/// stamps are accepted (every artefact before this PR lacks them — the
-/// schema-width tiers disambiguate those); a *wrong* stamp means the file
-/// is from an incompatible future version and must be rejected rather than
-/// half-decoded.
+/// Format stamps written by save() and required by try_load(): a missing or
+/// wrong stamp means the file is not an artefact this build wrote, and it is
+/// rejected rather than half-decoded.
 constexpr const char* kModelFormat = "adsala/model/v1";
 constexpr const char* kConfigFormat = "adsala/config/v1";
 
@@ -76,15 +74,17 @@ bool inject_nan(Json& blob) {
   return false;
 }
 
-/// True when `width` is one of the known fitted-schema widths: the PR-1
-/// numeric-only 17, or an op-aware tier between the PR-2 floor (21) and the
-/// current full schema. Anything else is an artefact from an incompatible
-/// build and must not be served (make_query_features would build garbage
-/// rows for it).
-bool known_schema_width(std::size_t width) {
-  return width == preprocess::kNumFeatures ||
-         (width >= preprocess::kNumLegacyOpAwareFeatures &&
-          width <= preprocess::kNumOpAwareFeatures);
+/// True when `doc` carries the format stamp `format`.
+bool stamped(const Json& doc, const char* format) {
+  return doc.contains("format") && doc.at("format").is_string() &&
+         doc.at("format").as_string() == format;
+}
+
+/// The one schema rule: a pipeline fitted on exactly the op-aware feature
+/// columns (preprocess/features.h). Checked wherever a snapshot is frozen.
+bool current_schema(const preprocess::Pipeline& pipeline) {
+  return pipeline.input_feature_names() ==
+         preprocess::op_aware_feature_names();
 }
 
 /// The shared validation ladder: decoded blobs in, a ready-to-publish
@@ -103,10 +103,11 @@ Expected<std::shared_ptr<ServingSnapshot>> try_load_blobs(
   if (!cfg.is_object()) {
     return validation_error(config_label, "config root is not an object");
   }
-  if (cfg.contains("format") &&
-      (!cfg.at("format").is_string() ||
-       cfg.at("format").as_string() != kConfigFormat)) {
-    return validation_error(config_label, "unknown config format stamp");
+  if (!stamped(cfg, kConfigFormat)) {
+    return validation_error(config_label,
+                            std::string("missing or unknown config format "
+                                        "stamp (want ") +
+                                kConfigFormat + ")");
   }
   for (const char* key : {"platform", "max_threads", "thread_grid",
                           "pipeline"}) {
@@ -158,13 +159,14 @@ Expected<std::shared_ptr<ServingSnapshot>> try_load_blobs(
   } catch (const std::exception&) {
     return validation_error(config_label, "malformed pipeline section");
   }
-  if (!known_schema_width(pipeline.n_input_features())) {
+  if (!current_schema(pipeline)) {
     return validation_error(
         config_label,
-        "unknown pipeline schema width " +
+        "pipeline feature_names (width " +
             std::to_string(pipeline.n_input_features()) +
-            " (known: 17, 21.." +
-            std::to_string(preprocess::kNumOpAwareFeatures) + ")");
+            ") are not the " +
+            std::to_string(preprocess::kNumOpAwareFeatures) +
+            "-column op-aware schema");
   }
 
   // --- model validation (kValidationError) --------------------------------
@@ -172,10 +174,11 @@ Expected<std::shared_ptr<ServingSnapshot>> try_load_blobs(
       !model_blob.at("model").is_string()) {
     return validation_error(model_label, "missing 'model' name field");
   }
-  if (model_blob.contains("format") &&
-      (!model_blob.at("format").is_string() ||
-       model_blob.at("format").as_string() != kModelFormat)) {
-    return validation_error(model_label, "unknown model format stamp");
+  if (!stamped(model_blob, kModelFormat)) {
+    return validation_error(model_label,
+                            std::string("missing or unknown model format "
+                                        "stamp (want ") +
+                                kModelFormat + ")");
   }
   if (!all_finite(model_blob)) {
     return validation_error(
@@ -202,6 +205,10 @@ Expected<std::shared_ptr<ServingSnapshot>> try_load_blobs(
 
 /// Freezes a finished training run into a publishable snapshot.
 std::shared_ptr<ServingSnapshot> snapshot_from(TrainOutput trained) {
+  if (!current_schema(trained.pipeline)) {
+    throw std::invalid_argument(
+        "AdsalaGemm: pipeline was not fitted on the op-aware feature schema");
+  }
   auto snap = std::make_shared<ServingSnapshot>();
   snap->version = 1;
   snap->model =
@@ -490,10 +497,10 @@ void AdsalaGemm::save(const std::string& model_path,
 int AdsalaGemm::select_threads(blas::OpKind op, long x, long y, long z,
                                int elem_bytes) const {
   // The registry canonicalises the family coordinates into the stored
-  // equivalent-GEMM shape, which serves every schema tier: an op-aware
-  // pipeline differentiates via the op_* one-hots, an older one sees the
-  // plain GEMM-proxy query of the same shape, and the heuristic fallback
-  // applies its occupancy rule to the same equivalent-GEMM work.
+  // equivalent-GEMM shape, which serves every rung: an op-aware pipeline
+  // differentiates via the op_* one-hots, a GEMM-only one sees the plain
+  // GEMM-proxy query of the same shape, and the heuristic fallback applies
+  // its occupancy rule to the same equivalent-GEMM work.
   const simarch::GemmShape shape = op_traits(op).to_shape(x, y, z, elem_bytes);
   return active()->select_threads(op, shape.m, shape.k, shape.n, elem_bytes);
 }

@@ -17,22 +17,21 @@
 // design — the same runtime object backs the `adsala_cli serve` daemon and
 // any in-process caller concurrently.
 //
-// Queries are built against the feature schema the installed pipeline was
-// fitted with (the single source of truth is preprocess/features.h): the
-// fitted input width says how many op one-hot columns the artefact carries,
-// and any operation registered *after* the artefact was trained — or every
-// operation, for a PR-1-era 17-column artefact — transparently degrades to
-// the GEMM-proxy heuristic: the model is queried with the equivalent-work
-// shape (SYRK: (n, k, n); TRSM/SYMM/TRMM: (n, n, m)), whose parallel
-// structure transfers approximately.
+// Queries are rows of the one op-aware feature schema
+// (preprocess/features.h); artefacts fitted on any other columns are
+// rejected at load time. Every family is queried with its equivalent-work
+// shape (SYRK: (n, k, n); TRSM/SYMM/TRMM: (n, n, m)). A model from a
+// GEMM-only campaign kept no op column, so its non-GEMM answers are the
+// GEMM proxy of that shape, whose parallel structure transfers
+// approximately.
 //
 // Fail-safe serving: try_load validates artefacts without throwing,
 // try_attach applies the same ladder to a shared-memory region
 // (core/shm_store.h), and load_or_fallback degrades to a built-in analytic
 // occupancy heuristic when artefacts are missing or corrupt, so a drop-in
 // sgemm replacement can promise "never crashes on a bad install".
-// serving_mode() reports which rung of the ladder (model -> GEMM proxy ->
-// heuristic) answered.
+// serving_mode() reports which rung (model -> GEMM proxy -> heuristic)
+// answered.
 #pragma once
 
 #include <atomic>
@@ -92,7 +91,9 @@ class AdsalaGemm {
     std::uint64_t version = 0;
   };
 
-  /// Builds directly from a finished training run.
+  /// Builds directly from a finished training run. Throws
+  /// std::invalid_argument when its pipeline was not fitted on the op-aware
+  /// feature schema (as does install(TrainOutput)).
   explicit AdsalaGemm(TrainOutput trained);
 
   /// Loads the two installation artefacts (paper Fig. 2 outputs); throws
@@ -101,11 +102,12 @@ class AdsalaGemm {
 
   /// Non-throwing artefact loading with full validation: missing files map
   /// to kNotFound, undecodable ones to kParseError (path-qualified), and
-  /// decodable-but-unusable ones to kValidationError — unknown format
-  /// stamp, unknown model name, unknown pipeline schema width, empty or
-  /// non-positive or unsorted thread_grid, non-positive max_threads,
-  /// non-finite model weights. Construction only happens after every check
-  /// passes, so a failed load leaves no half-initialised runtime behind.
+  /// decodable-but-unusable ones to kValidationError — a missing or
+  /// unknown format stamp on either file, unknown model name, a pipeline
+  /// not fitted on the op-aware feature schema, empty or non-positive or
+  /// unsorted thread_grid, non-positive max_threads, non-finite model
+  /// weights. Construction only happens after every check passes, so a
+  /// failed load leaves no half-initialised runtime behind.
   static Expected<AdsalaGemm> try_load(const std::string& model_path,
                                        const std::string& config_path);
 
@@ -221,8 +223,8 @@ class AdsalaGemm {
   // -------------------------------------------------------------- querying
 
   /// The serving ladder rung answers for `op` currently come from. Depends
-  /// on the op because one artefact can serve GEMM first-class while
-  /// proxying a family that postdates its schema.
+  /// on the op because a GEMM-only artefact serves GEMM first-class while
+  /// answering every other family through the GEMM proxy.
   ServingMode serving_mode(blas::OpKind op = blas::OpKind::kGemm) const;
 
   /// Predicted-optimal thread count for any registered operation, queried
@@ -231,7 +233,7 @@ class AdsalaGemm {
   /// canonicalises the coordinates into the stored equivalent-GEMM shape,
   /// so a newly registered operation is served without touching this class.
   /// With an op-aware model this selects from the op's own training rows;
-  /// older artefacts degrade to the GEMM proxy of the equivalent shape.
+  /// a GEMM-only model answers with the GEMM proxy of the equivalent shape.
   /// Decisions are memoised in the snapshot's bounded cache; the memo key
   /// includes the operation and element size, so mixed op / sgemm-dgemm
   /// call streams never reuse a stale decision. Lock-free and thread-safe.
@@ -286,9 +288,8 @@ class AdsalaGemm {
 
   /// True when the installed model can actually differentiate operations:
   /// an op_* one-hot column survived preprocessing into the model input.
-  /// False for PR-1-era artefacts *and* for GEMM-only campaigns gathered
-  /// with the op-aware schema (their constant op columns are dropped at fit
-  /// time, so SYRK queries reduce to the GEMM proxy).
+  /// False for GEMM-only campaigns (their constant op columns are dropped at
+  /// fit time, so SYRK queries reduce to the GEMM proxy).
   bool op_aware() const { return active()->op_aware(); }
 
   // References below point into the *current* snapshot. They stay valid for

@@ -53,10 +53,20 @@ void GatherData::split(double test_fraction, std::uint64_t seed,
   for (std::size_t i : idx.test) test->records.push_back(records[i]);
 }
 
+namespace {
+
+/// The one timings.csv layout, written by save_csv and required by load_csv.
+const std::vector<std::string>& csv_header() {
+  static const std::vector<std::string> header = {
+      "m", "k", "n", "elem_bytes", "threads", "runtime", "op", "variant"};
+  return header;
+}
+
+}  // namespace
+
 void GatherData::save_csv(const std::string& path) const {
   CsvTable table;
-  table.header = {"m",       "k",       "n",  "elem_bytes",
-                  "threads", "runtime", "op", "variant"};
+  table.header = csv_header();
   for (const auto& rec : records) {
     for (std::size_t t = 0; t < rec.threads.size(); ++t) {
       table.rows.push_back({static_cast<double>(rec.shape.m),
@@ -74,17 +84,13 @@ void GatherData::save_csv(const std::string& path) const {
 
 GatherData GatherData::load_csv(const std::string& path) {
   const CsvTable table = read_csv(path);
-  // Column lookup by header name so the PR-1-era six-column files (no
-  // op/variant) keep loading; absent columns default to generic-kernel GEMM.
-  const bool has_op =
-      std::find(table.header.begin(), table.header.end(), "op") !=
-      table.header.end();
-  const bool has_variant =
-      std::find(table.header.begin(), table.header.end(), "variant") !=
-      table.header.end();
-  const std::size_t op_col = has_op ? table.col_index("op") : 0;
-  const std::size_t variant_col =
-      has_variant ? table.col_index("variant") : 0;
+  // Files without the op / variant columns cannot say what their rows
+  // timed, so any other layout is refused.
+  if (table.header != csv_header()) {
+    throw std::runtime_error(path +
+                             ": timings header is not the save_csv layout "
+                             "m,k,n,elem_bytes,threads,runtime,op,variant");
+  }
 
   GatherData out;
   GatherRecord current;
@@ -94,34 +100,27 @@ GatherData GatherData::load_csv(const std::string& path) {
                              static_cast<long>(row[1]),
                              static_cast<long>(row[2]),
                              static_cast<int>(row[3])};
-    blas::OpKind op = blas::OpKind::kGemm;
-    if (has_op) {
-      const auto parsed = blas::op_from_code(static_cast<int>(row[op_col]));
-      if (!parsed) {
-        throw std::runtime_error("GatherData::load_csv: unknown op code");
-      }
-      op = *parsed;
+    const auto op = blas::op_from_code(static_cast<int>(row[6]));
+    if (!op) {
+      throw std::runtime_error("GatherData::load_csv: unknown op code");
     }
-    auto variant = blas::kernels::Variant::kGeneric;
-    if (has_variant) {
-      const int code = static_cast<int>(row[variant_col]);
-      // Records must carry a concrete variant; kAuto (0) or unknown codes
-      // mean the file is corrupt or from an incompatible future version.
-      if (code != static_cast<int>(blas::kernels::Variant::kGeneric) &&
-          code != static_cast<int>(blas::kernels::Variant::kAvx2) &&
-          code != static_cast<int>(blas::kernels::Variant::kAvx512)) {
-        throw std::runtime_error(
-            "GatherData::load_csv: unknown kernel-variant code");
-      }
-      variant = static_cast<blas::kernels::Variant>(code);
+    // Records must carry a concrete variant; kAuto (0) or unknown codes
+    // mean the file is corrupt or from an incompatible future version.
+    const int code = static_cast<int>(row[7]);
+    if (code != static_cast<int>(blas::kernels::Variant::kGeneric) &&
+        code != static_cast<int>(blas::kernels::Variant::kAvx2) &&
+        code != static_cast<int>(blas::kernels::Variant::kAvx512)) {
+      throw std::runtime_error(
+          "GatherData::load_csv: unknown kernel-variant code");
     }
+    const auto variant = static_cast<blas::kernels::Variant>(code);
     if (!have_current || shape.m != current.shape.m ||
         shape.k != current.shape.k || shape.n != current.shape.n ||
-        shape.elem_bytes != current.shape.elem_bytes || op != current.op) {
+        shape.elem_bytes != current.shape.elem_bytes || *op != current.op) {
       if (have_current) out.records.push_back(std::move(current));
       current = GatherRecord{};
       current.shape = shape;
-      current.op = op;
+      current.op = *op;
       current.variant = variant;
       have_current = true;
     }

@@ -49,9 +49,10 @@ struct GatherConfig {
   int iterations = 10;
   std::vector<int> thread_grid;  ///< empty -> default_thread_grid(max)
   sampling::DomainConfig domain;
-  /// Operations to cover, each over the same domain config. The default
-  /// keeps the PR-1 behaviour (GEMM only); append any registered op (or
-  /// blas::all_ops()) for an op-aware campaign.
+  /// Operations to cover, each over the same domain config. The default is
+  /// a GEMM-only campaign, whose model answers the other families through
+  /// the GEMM proxy; append any registered op (or blas::all_ops()) for an
+  /// op-aware campaign.
   std::vector<blas::OpKind> ops = {blas::OpKind::kGemm};
   /// Kernel variants to A/B within the campaign: each operation's shapes are
   /// timed once per listed variant (set_variant() around the sub-campaign,
@@ -80,8 +81,7 @@ struct GatherData {
 
   /// CSV columns: m, k, n, elem_bytes, threads, runtime, op, variant (the
   /// last two as the integer codes from blas/op.h and kernels::Variant).
-  /// load_csv also accepts the PR-1-era six-column layout, tagging every
-  /// row as a generic-kernel GEMM.
+  /// load_csv throws on any other header.
   void save_csv(const std::string& path) const;
   static GatherData load_csv(const std::string& path);
 };

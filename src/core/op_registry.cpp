@@ -92,6 +92,25 @@ std::unique_ptr<sampling::DomainSampler> make_trmm_sampler(
 // Operands are 64-byte aligned and filled with pseudo-random values; one
 // warm-up call precedes the timed iterations (paper SS V-B.3).
 
+/// The one timing loop: one warm-up call (pulls operands into cache state
+/// comparable across runs and wakes the pool threads), then the mean
+/// wall-clock seconds of `iterations` calls.
+template <typename Call>
+double mean_call_seconds(int iterations, Call&& call) {
+  call();
+  WallTimer timer;
+  for (int it = 0; it < iterations; ++it) call();
+  return timer.seconds() / std::max(iterations, 1);
+}
+
+/// Fills `buf` with uniform draws from [-1, 1), in index order.
+template <typename T>
+void fill_uniform(AlignedBuffer<T>& buf, Rng& rng) {
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
+  }
+}
+
 template <typename T>
 double measure_gemm_typed(const simarch::GemmShape& shape, int nthreads,
                           int iterations) {
@@ -102,25 +121,13 @@ double measure_gemm_typed(const simarch::GemmShape& shape, int nthreads,
   AlignedBuffer<T> b(static_cast<std::size_t>(k) * n);
   AlignedBuffer<T> c(static_cast<std::size_t>(m) * n);
   Rng rng(0x5eedu + static_cast<std::uint64_t>(m * 131 + k * 17 + n));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
+  fill_uniform(a, rng);
+  fill_uniform(b, rng);
   for (std::size_t i = 0; i < c.size(); ++i) c[i] = T(0);
-
-  // Warm-up: pulls operands into cache state comparable across runs and
-  // wakes the pool threads.
-  blas::gemm<T>(blas::Trans::kNo, blas::Trans::kNo, m, n, k, T(1), a.data(),
-                k, b.data(), n, T(0), c.data(), n, nthreads);
-
-  WallTimer timer;
-  for (int it = 0; it < iterations; ++it) {
+  return mean_call_seconds(iterations, [&] {
     blas::gemm<T>(blas::Trans::kNo, blas::Trans::kNo, m, n, k, T(1), a.data(),
                   k, b.data(), n, T(0), c.data(), n, nthreads);
-  }
-  return timer.seconds() / std::max(iterations, 1);
+  });
 }
 
 template <typename T>
@@ -131,20 +138,12 @@ double measure_syrk_typed(const simarch::GemmShape& shape, int nthreads,
   AlignedBuffer<T> a(static_cast<std::size_t>(n) * k);
   AlignedBuffer<T> c(static_cast<std::size_t>(n) * n);
   Rng rng(0x5eedu + static_cast<std::uint64_t>(n * 131 + k * 17));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
+  fill_uniform(a, rng);
   for (std::size_t i = 0; i < c.size(); ++i) c[i] = T(0);
-
-  blas::syrk<T>(blas::Uplo::kLower, blas::Trans::kNo, n, k, T(1), a.data(), k,
-                T(0), c.data(), n, nthreads);
-
-  WallTimer timer;
-  for (int it = 0; it < iterations; ++it) {
+  return mean_call_seconds(iterations, [&] {
     blas::syrk<T>(blas::Uplo::kLower, blas::Trans::kNo, n, k, T(1), a.data(),
                   k, T(0), c.data(), n, nthreads);
-  }
-  return timer.seconds() / std::max(iterations, 1);
+  });
 }
 
 template <typename T>
@@ -155,26 +154,16 @@ double measure_trsm_typed(const simarch::GemmShape& shape, int nthreads,
   AlignedBuffer<T> a(static_cast<std::size_t>(n) * n);
   AlignedBuffer<T> b(static_cast<std::size_t>(n) * r);
   Rng rng(0x5eedu + static_cast<std::uint64_t>(n * 131 + r * 17));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
+  fill_uniform(a, rng);
   // Diagonally dominant triangle: repeated in-place solves stay bounded
   // (||inv(A)|| < 1), so the timed iterations never drift into inf/denormal
   // territory.
   for (int i = 0; i < n; ++i) a[static_cast<std::size_t>(i) * n + i] = T(n + 1);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
-
-  blas::trsm<T>(blas::Uplo::kLower, blas::Trans::kNo, blas::Diag::kNonUnit, n,
-                r, T(1), a.data(), n, b.data(), r, nthreads);
-
-  WallTimer timer;
-  for (int it = 0; it < iterations; ++it) {
+  fill_uniform(b, rng);
+  return mean_call_seconds(iterations, [&] {
     blas::trsm<T>(blas::Uplo::kLower, blas::Trans::kNo, blas::Diag::kNonUnit,
                   n, r, T(1), a.data(), n, b.data(), r, nthreads);
-  }
-  return timer.seconds() / std::max(iterations, 1);
+  });
 }
 
 template <typename T>
@@ -186,23 +175,13 @@ double measure_symm_typed(const simarch::GemmShape& shape, int nthreads,
   AlignedBuffer<T> b(static_cast<std::size_t>(n) * r);
   AlignedBuffer<T> c(static_cast<std::size_t>(n) * r);
   Rng rng(0x5eedu + static_cast<std::uint64_t>(n * 131 + r * 17));
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    a[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
+  fill_uniform(a, rng);
+  fill_uniform(b, rng);
   for (std::size_t i = 0; i < c.size(); ++i) c[i] = T(0);
-
-  blas::symm<T>(blas::Uplo::kLower, n, r, T(1), a.data(), n, b.data(), r,
-                T(0), c.data(), r, nthreads);
-
-  WallTimer timer;
-  for (int it = 0; it < iterations; ++it) {
+  return mean_call_seconds(iterations, [&] {
     blas::symm<T>(blas::Uplo::kLower, n, r, T(1), a.data(), n, b.data(), r,
                   T(0), c.data(), r, nthreads);
-  }
-  return timer.seconds() / std::max(iterations, 1);
+  });
 }
 
 template <typename T>
@@ -219,19 +198,11 @@ double measure_trmm_typed(const simarch::GemmShape& shape, int nthreads,
     a[i] = static_cast<T>(rng.uniform(-1.0, 1.0) * 0.5 / n);
   }
   for (int i = 0; i < n; ++i) a[static_cast<std::size_t>(i) * n + i] = T(0.9);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    b[i] = static_cast<T>(rng.uniform(-1.0, 1.0));
-  }
-
-  blas::trmm<T>(blas::Uplo::kLower, blas::Trans::kNo, blas::Diag::kNonUnit, n,
-                r, T(1), a.data(), n, b.data(), r, nthreads);
-
-  WallTimer timer;
-  for (int it = 0; it < iterations; ++it) {
+  fill_uniform(b, rng);
+  return mean_call_seconds(iterations, [&] {
     blas::trmm<T>(blas::Uplo::kLower, blas::Trans::kNo, blas::Diag::kNonUnit,
                   n, r, T(1), a.data(), n, b.data(), r, nthreads);
-  }
-  return timer.seconds() / std::max(iterations, 1);
+  });
 }
 
 /// fp32/fp64 split shared by every native closure.

@@ -2,7 +2,6 @@
 
 #include "core/op_registry.h"
 #include "core/trainer.h"
-#include "preprocess/features.h"
 
 namespace adsala::core {
 
@@ -33,24 +32,20 @@ std::uint64_t MemoCache::pack_key(blas::OpKind op, long m, long k, long n,
 
 ServingMode ServingSnapshot::mode_for(blas::OpKind op) const {
   if (model == nullptr) return ServingMode::kHeuristicFallback;
-  if (op == blas::OpKind::kGemm) return ServingMode::kModelServed;
-  if (op_aware() && preprocess::op_served_first_class(
-                        op, pipeline.n_input_features())) {
-    return ServingMode::kModelServed;
-  }
-  return ServingMode::kGemmProxy;
+  return op == blas::OpKind::kGemm || op_aware() ? ServingMode::kModelServed
+                                                 : ServingMode::kGemmProxy;
 }
 
-bool ServingSnapshot::op_aware() const {
-  // An op indicator must have *survived* preprocessing: a GEMM-only campaign
-  // gathered with the op-aware schema drops the constant op_* columns at fit
-  // time and therefore answers family queries exactly like the proxy.
-  if (model == nullptr) return false;
+bool keeps_op_column(const preprocess::Pipeline& pipeline) {
   const auto& names = pipeline.input_feature_names();
   for (std::size_t j : pipeline.kept_features()) {
     if (names[j].rfind("op_", 0) == 0) return true;
   }
   return false;
+}
+
+bool ServingSnapshot::op_aware() const {
+  return model != nullptr && keeps_op_column(pipeline);
 }
 
 namespace {

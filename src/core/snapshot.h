@@ -38,9 +38,12 @@ namespace adsala::core {
 /// (docs/OPERATIONS.md, "Failure modes and degraded serving"):
 ///   kModelServed        the trained model answered for this op first-class
 ///   kGemmProxy          the model answered, but through the equivalent-GEMM
-///                       proxy (op postdates the artefact's schema)
+///                       proxy: every op column was dropped at fit time (a
+///                       GEMM-only campaign), so a non-GEMM query is the
+///                       GEMM query of its equivalent shape
 ///   kHeuristicFallback  no usable artefacts; a built-in analytic occupancy
 ///                       rule (simarch::MachineModel literals) answered
+/// The numeric values are the daemon's wire mode byte (0, 1, 2).
 enum class ServingMode { kModelServed, kGemmProxy, kHeuristicFallback };
 
 /// Stable name for logs/CLI: "model", "gemm_proxy", "heuristic".
@@ -109,6 +112,11 @@ class MemoCache {
 static_assert(sizeof(MemoCache) == MemoCache::kSlots * sizeof(std::uint64_t),
               "memo footprint is pinned: kSlots words, nothing else");
 
+/// True when an op_* one-hot column survived preprocessing into the model
+/// input. A GEMM-only campaign drops its constant op columns at fit time and
+/// therefore answers family queries exactly like the GEMM proxy.
+bool keeps_op_column(const preprocess::Pipeline& pipeline);
+
 /// One immutable generation of serving state. Everything is set before
 /// publication and never written again (the memo's atomics excepted).
 struct ServingSnapshot {
@@ -130,8 +138,8 @@ struct ServingSnapshot {
   /// The serving ladder rung this snapshot answers `op` from.
   ServingMode mode_for(blas::OpKind op) const;
 
-  /// True when an op_* one-hot column survived preprocessing into the
-  /// model input (see AdsalaGemm::op_aware).
+  /// True when the model is loaded and keeps_op_column(pipeline) (see
+  /// AdsalaGemm::op_aware).
   bool op_aware() const;
 
   /// Memoised thread selection against this generation. Lock-free: at most

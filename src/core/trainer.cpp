@@ -30,12 +30,8 @@ std::size_t predict_best_grid_index(const ml::Regressor& model,
                                     std::span<const int> thread_grid,
                                     blas::OpKind op,
                                     blas::kernels::Variant variant) {
-  // The fitted input width decides the raw-row layout (current 25-column
-  // schema, the 24/23/21-column legacy tiers, or the PR-1 numeric-only 17);
-  // the schema tiers live in preprocess::make_query_features.
   const std::size_t width = pipeline.n_input_features();
-  if (width > preprocess::kNumFeatures &&
-      variant == blas::kernels::Variant::kAuto) {
+  if (variant == blas::kernels::Variant::kAuto) {
     variant = blas::kernels::active_variant();
   }
   std::size_t best = 0;
@@ -157,8 +153,7 @@ TrainOutput train_and_select(const GatherData& gathered,
   // categorical unless the caller configured its own set.
   preprocess::PipelineConfig pipeline_cfg = options.pipeline;
   const ml::Dataset train_raw = train.to_dataset();
-  if (pipeline_cfg.categorical.empty() &&
-      train_raw.n_features() == preprocess::kNumOpAwareFeatures) {
+  if (pipeline_cfg.categorical.empty()) {
     pipeline_cfg.categorical = preprocess::categorical_indices();
   }
   out.pipeline = preprocess::Pipeline(pipeline_cfg);

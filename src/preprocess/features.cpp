@@ -1,6 +1,6 @@
 #include "preprocess/features.h"
 
-#include <algorithm>
+#include <stdexcept>
 
 namespace adsala::preprocess {
 
@@ -15,23 +15,6 @@ static_assert([] {
   }
   return true;
 }());
-
-/// Kernel-variant one-hot block appended after the op block. `n_cols` is 3
-/// (current schema: generic, avx2, avx512) or 2 (legacy artefacts, which
-/// predate the AVX-512 tier: an avx512 query is proxied as its nearest
-/// tier, avx2, mirroring the GEMM proxy for unknown ops).
-void set_kernel_onehots(blas::kernels::Variant variant, double* dst,
-                        std::size_t n_cols) {
-  using blas::kernels::Variant;
-  dst[0] = variant == Variant::kGeneric ? 1.0 : 0.0;
-  if (n_cols >= kNumKernelFeatures) {
-    dst[1] = variant == Variant::kAvx2 ? 1.0 : 0.0;
-    dst[2] = variant == Variant::kAvx512 ? 1.0 : 0.0;
-  } else {
-    dst[1] =
-        variant == Variant::kAvx2 || variant == Variant::kAvx512 ? 1.0 : 0.0;
-  }
-}
 
 }  // namespace
 
@@ -89,60 +72,27 @@ std::array<double, kNumOpAwareFeatures> make_op_aware_features(
   std::array<double, kNumOpAwareFeatures> out{};
   for (std::size_t j = 0; j < kNumFeatures; ++j) out[j] = base[j];
   out[kNumFeatures + static_cast<std::size_t>(blas::op_code(op))] = 1.0;
-  set_kernel_onehots(variant, out.data() + kNumFeatures + blas::kNumOps,
-                     kNumKernelFeatures);
+  // Kernel block, in kernels::Variant code order (kAuto sets none).
+  using blas::kernels::Variant;
+  double* kernel = out.data() + kNumFeatures + blas::kNumOps;
+  kernel[0] = variant == Variant::kGeneric ? 1.0 : 0.0;
+  kernel[1] = variant == Variant::kAvx2 ? 1.0 : 0.0;
+  kernel[2] = variant == Variant::kAvx512 ? 1.0 : 0.0;
   return out;
 }
-
-namespace {
-
-/// Width of the kernel one-hot block an artefact of this fitted width
-/// carries: 3 from kFirstTripleKernelWidth (a frozen historical boundary —
-/// see its definition for why it must not track the live schema constants)
-/// upward, 2 for the closed legacy set {21, 23, 24}.
-std::size_t kernel_cols_for_width(std::size_t pipeline_width) {
-  return pipeline_width >= kFirstTripleKernelWidth ? kNumKernelFeatures
-                                                   : kNumLegacyKernelFeatures;
-}
-
-}  // namespace
 
 std::vector<double> make_query_features(double m, double k, double n,
                                         double t, blas::OpKind op,
                                         blas::kernels::Variant variant,
                                         std::size_t pipeline_width) {
-  const auto base = make_features(m, k, n, t);
-  std::vector<double> out(base.begin(), base.end());
-  if (pipeline_width < kNumLegacyOpAwareFeatures) return out;
-  // Every op-aware tier is 17 numeric + op one-hots + the kernel block (2
-  // wide on legacy artefacts, 3 since the AVX-512 tier). Operations the
-  // artefact's schema never saw are proxied as GEMM rows (their stored
-  // shape already carries the equivalent-GEMM dimensions); a kernel variant
-  // it never saw is proxied as the nearest tier it knows.
-  const std::size_t n_kernel_cols = kernel_cols_for_width(pipeline_width);
-  const std::size_t n_op_cols = std::min<std::size_t>(
-      pipeline_width - kNumFeatures - n_kernel_cols, blas::kNumOps);
-  const auto code = static_cast<std::size_t>(
-      op_served_first_class(op, pipeline_width) ? blas::op_code(op)
-                                                : blas::op_code(
-                                                      blas::OpKind::kGemm));
-  for (std::size_t j = 0; j < n_op_cols; ++j) {
-    out.push_back(j == code ? 1.0 : 0.0);
+  if (pipeline_width != kNumOpAwareFeatures) {
+    throw std::invalid_argument(
+        "make_query_features: pipeline width " +
+        std::to_string(pipeline_width) + " is not the " +
+        std::to_string(kNumOpAwareFeatures) + "-column op-aware schema");
   }
-  double kernel[kNumKernelFeatures];
-  set_kernel_onehots(variant, kernel, n_kernel_cols);
-  out.insert(out.end(), kernel, kernel + n_kernel_cols);
-  return out;
-}
-
-bool op_served_first_class(blas::OpKind op, std::size_t pipeline_width) {
-  if (pipeline_width < kNumLegacyOpAwareFeatures) {
-    return op == blas::OpKind::kGemm;
-  }
-  const std::size_t n_op_cols = std::min<std::size_t>(
-      pipeline_width - kNumFeatures - kernel_cols_for_width(pipeline_width),
-      blas::kNumOps);
-  return static_cast<std::size_t>(blas::op_code(op)) < n_op_cols;
+  const auto row = make_op_aware_features(m, k, n, t, op, variant);
+  return {row.begin(), row.end()};
 }
 
 }  // namespace adsala::preprocess

@@ -153,10 +153,8 @@ void Pipeline::load(const Json& blob) {
   cfg_.corr_threshold = blob.at("corr_threshold").as_number();
   cfg_.log_label = blob.at("log_label").as_bool();
   cfg_.categorical.clear();
-  if (blob.contains("categorical")) {  // absent in PR-1-era config files
-    for (const auto& v : blob.at("categorical").as_array()) {
-      cfg_.categorical.push_back(static_cast<std::size_t>(v.as_number()));
-    }
+  for (const auto& v : blob.at("categorical").as_array()) {
+    cfg_.categorical.push_back(static_cast<std::size_t>(v.as_number()));
   }
   names_.clear();
   for (const auto& s : blob.at("feature_names").as_array()) {
@@ -168,6 +166,13 @@ void Pipeline::load(const Json& blob) {
   keep_.clear();
   for (const auto& v : blob.at("keep").as_array()) {
     keep_.push_back(static_cast<std::size_t>(v.as_number()));
+  }
+  // transform_row indexes every per-column array by the kept indices.
+  const std::size_t d = names_.size();
+  if (lambdas_.size() != d || means_.size() != d || stds_.size() != d ||
+      std::any_of(keep_.begin(), keep_.end(),
+                  [d](std::size_t j) { return j >= d; })) {
+    throw std::invalid_argument("Pipeline::load: inconsistent column arrays");
   }
 }
 

@@ -59,9 +59,10 @@ class Pipeline {
   double inverse_label(double y) const;
 
   const PipelineConfig& config() const { return cfg_; }
-  /// Width of the raw rows this pipeline was fitted on (17 for PR-1-era
-  /// artefacts, 21 for PR-2-era op-aware ones, 23 for the current four-op
-  /// schema); transform_row expects this many values. Zero before fit/load.
+  /// Width of the raw rows this pipeline was fitted on (the op-aware
+  /// schema's kNumOpAwareFeatures for every served artefact, see
+  /// preprocess/features.h); transform_row expects this many values. Zero
+  /// before fit/load.
   std::size_t n_input_features() const { return names_.size(); }
   /// Names of the raw input columns at fit time (canonical schema order).
   const std::vector<std::string>& input_feature_names() const {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <stdexcept>
 
 #include "blas/kernels/dispatch.h"
 #include "common/csv.h"
@@ -267,26 +268,22 @@ TEST(Gather, CsvRoundTripKeepsOpAndVariantColumns) {
   std::filesystem::remove(path);
 }
 
-TEST(Gather, LegacySixColumnCsvLoadsAsGemm) {
-  // PR-1-era files carry no op/variant columns; loading must default every
-  // row to a generic-kernel GEMM record — also now that four operations are
-  // registered (absent columns mean "gemm", not "unknown op").
-  CsvTable legacy;
-  legacy.header = {"m", "k", "n", "elem_bytes", "threads", "runtime"};
-  legacy.rows = {{100, 200, 300, 4, 1, 0.5},
-                 {100, 200, 300, 4, 2, 0.3},
-                 {400, 500, 600, 4, 1, 0.9},
-                 {400, 500, 600, 4, 2, 0.6}};
-  const std::string path = "/tmp/adsala_test_gather_legacy.csv";
-  write_csv(path, legacy);
-  const auto back = GatherData::load_csv(path);
-  ASSERT_EQ(back.records.size(), 2u);
-  for (const auto& rec : back.records) {
-    EXPECT_EQ(rec.op, blas::OpKind::kGemm);
-    EXPECT_EQ(rec.variant, blas::kernels::Variant::kGeneric);
-    EXPECT_EQ(rec.threads, (std::vector<int>{1, 2}));
+TEST(Gather, SixColumnCsvIsRejected) {
+  // A timings file without the op / variant columns cannot say what its
+  // rows timed: loading it throws, naming the file, instead of guessing
+  // "generic-kernel GEMM".
+  CsvTable six;
+  six.header = {"m", "k", "n", "elem_bytes", "threads", "runtime"};
+  six.rows = {{100, 200, 300, 4, 1, 0.5}, {100, 200, 300, 4, 2, 0.3}};
+  const std::string path = "/tmp/adsala_test_gather_six_column.csv";
+  write_csv(path, six);
+  try {
+    GatherData::load_csv(path);
+    ADD_FAILURE() << "a six-column timings file must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
   }
-  EXPECT_DOUBLE_EQ(back.records[1].runtime[1], 0.6);
   std::filesystem::remove(path);
 }
 
@@ -467,67 +464,11 @@ TEST(AdsalaGemm, FourOpModelServesTrsmAndSymmFirstClass) {
       << "trsm/symm-family rows must influence thread selection";
 }
 
-TEST(AdsalaGemm, Pr2EraArtefactsProxyTrsmAndSymmAsGemm) {
-  // Emulate a PR-2-era artefact: 21-column op-aware schema with gemm/syrk
-  // one-hots only. Build the dataset by hand (the current builders emit 23
-  // columns) from a mixed gemm+syrk campaign.
+TEST(AdsalaGemm, TrainOutputOffTheSchemaIsRejected) {
+  // A pipeline fitted on any columns but the op-aware schema (here the 17
+  // numeric features alone) cannot be frozen into a snapshot.
   auto ex = tiny_executor();
-  GatherConfig cfg = tiny_gather_config(50);
-  cfg.ops = {blas::OpKind::kGemm, blas::OpKind::kSyrk};
-  const auto data = gather_timings(ex, cfg);
-
-  std::vector<std::string> names = preprocess::feature_names();
-  names.insert(names.end(),
-               {"op_gemm", "op_syrk", "kernel_generic", "kernel_avx2"});
-  ml::Dataset legacy_rows(names);
-  for (const auto& rec : data.records) {
-    for (std::size_t t = 0; t < rec.threads.size(); ++t) {
-      const auto base = preprocess::make_features(
-          static_cast<double>(rec.shape.m), static_cast<double>(rec.shape.k),
-          static_cast<double>(rec.shape.n),
-          static_cast<double>(rec.threads[t]));
-      std::vector<double> row(base.begin(), base.end());
-      const bool syrk = rec.op == blas::OpKind::kSyrk;
-      row.insert(row.end(), {syrk ? 0.0 : 1.0, syrk ? 1.0 : 0.0, 1.0, 0.0});
-      legacy_rows.add_row(row, rec.runtime[t]);
-    }
-  }
-  TrainOutput legacy;
-  legacy.selected = "decision_tree";
-  legacy.thread_grid = data.thread_grid;
-  legacy.max_threads = data.max_threads;
-  legacy.platform = data.platform;
-  preprocess::PipelineConfig pipe_cfg;
-  pipe_cfg.categorical = {17, 18, 19, 20};
-  legacy.pipeline = preprocess::Pipeline(pipe_cfg);
-  const auto train_set = legacy.pipeline.fit_transform(legacy_rows);
-  legacy.model = ml::make_model("decision_tree");
-  legacy.model->fit(train_set);
-
-  const std::string model_path = "/tmp/adsala_test_pr2_model.json";
-  const std::string config_path = "/tmp/adsala_test_pr2_config.json";
-  AdsalaGemm(std::move(legacy)).save(model_path, config_path);
-
-  AdsalaGemm runtime(model_path, config_path);
-  EXPECT_TRUE(runtime.op_aware()) << "gemm/syrk one-hots are informative";
-  ASSERT_EQ(runtime.pipeline().n_input_features(),
-            preprocess::kNumLegacyOpAwareFeatures);
-  // TRSM and SYMM queries build op_gemm = 1 rows for this schema tier, so
-  // they must agree with the explicit GEMM query of the equivalent shape.
-  for (long n : {64L, 256L, 700L}) {
-    const int p_gemm = runtime.select_threads(n, n, 3 * n);
-    EXPECT_EQ(runtime.select_threads_trsm(n, 3 * n), p_gemm);
-    EXPECT_EQ(runtime.select_threads_symm(n, 3 * n), p_gemm);
-  }
-  std::filesystem::remove(model_path);
-  std::filesystem::remove(config_path);
-}
-
-TEST(AdsalaGemm, LegacyGemmOnlyArtefactsFallBackToProxy) {
-  // Emulate a PR-1-era artefact: pipeline + model fitted on the 17-column
-  // base schema, with no op/variant columns anywhere.
-  auto ex = tiny_executor();
-  const auto data = gather_timings(ex, tiny_gather_config(60));
+  const auto data = gather_timings(ex, tiny_gather_config(30));
   ml::Dataset base(preprocess::feature_names());
   for (const auto& rec : data.records) {
     for (std::size_t t = 0; t < rec.threads.size(); ++t) {
@@ -539,33 +480,15 @@ TEST(AdsalaGemm, LegacyGemmOnlyArtefactsFallBackToProxy) {
                    rec.runtime[t]);
     }
   }
-  TrainOutput legacy;
-  legacy.selected = "decision_tree";
-  legacy.thread_grid = data.thread_grid;
-  legacy.max_threads = data.max_threads;
-  legacy.platform = data.platform;
-  legacy.pipeline = preprocess::Pipeline(preprocess::PipelineConfig{});
-  const auto train_set = legacy.pipeline.fit_transform(base);
-  legacy.model = ml::make_model("decision_tree");
-  legacy.model->fit(train_set);
-
-  const std::string model_path = "/tmp/adsala_test_legacy_model.json";
-  const std::string config_path = "/tmp/adsala_test_legacy_config.json";
-  AdsalaGemm(std::move(legacy)).save(model_path, config_path);
-
-  // Loading the old-schema pair must work, and syrk queries must degrade to
-  // the GEMM-proxy heuristic (identical answer to the (n, k, n) query).
-  AdsalaGemm runtime(model_path, config_path);
-  EXPECT_FALSE(runtime.op_aware());
-  for (long n : {64L, 256L, 700L}) {
-    const int p_syrk = runtime.select_threads_syrk(n, 3 * n);
-    const int p_proxy = runtime.select_threads(n, 3 * n, n);
-    EXPECT_EQ(p_syrk, p_proxy);
-    EXPECT_GE(p_syrk, 1);
-    EXPECT_LE(p_syrk, 16);
-  }
-  std::filesystem::remove(model_path);
-  std::filesystem::remove(config_path);
+  TrainOutput off_schema;
+  off_schema.selected = "decision_tree";
+  off_schema.thread_grid = data.thread_grid;
+  off_schema.max_threads = data.max_threads;
+  off_schema.platform = data.platform;
+  const auto train_set = off_schema.pipeline.fit_transform(base);
+  off_schema.model = ml::make_model("decision_tree");
+  off_schema.model->fit(train_set);
+  EXPECT_THROW(AdsalaGemm{std::move(off_schema)}, std::invalid_argument);
 }
 
 TEST(AdsalaGemm, MemoInvalidatesAcrossOpsAndElemSizes) {
@@ -618,10 +541,20 @@ TEST(AdsalaGemm, SelectThreadsMemoisesLastQuery) {
   EXPECT_LE(p1, 16);
   // Trained on a GEMM-only campaign: the constant op_* columns are dropped
   // at fit time, so the runtime must not claim operation awareness (syrk
-  // queries reduce to the GEMM proxy).
+  // queries reduce to the GEMM proxy) — the one artefact shape that serves
+  // through the kGemmProxy rung.
   EXPECT_FALSE(adsala.op_aware());
   EXPECT_EQ(adsala.select_threads_syrk(100, 200),
             adsala.select_threads(100, 200, 100));
+  EXPECT_EQ(adsala.serving_mode(blas::OpKind::kGemm),
+            ServingMode::kModelServed);
+  for (const blas::OpKind op : blas::all_ops()) {
+    if (op == blas::OpKind::kGemm) continue;
+    EXPECT_EQ(adsala.serving_mode(op), ServingMode::kGemmProxy)
+        << blas::op_name(op);
+  }
+  EXPECT_EQ(adsala.query(blas::OpKind::kSyrk, 100, 200).mode,
+            ServingMode::kGemmProxy);
 }
 
 TEST(AdsalaGemm, SaveLoadRoundTrip) {

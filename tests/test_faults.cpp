@@ -12,6 +12,7 @@
 // exactly one defect.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -36,6 +37,7 @@
 #include "core/shm_store.h"
 #include "core/telemetry_log.h"
 #include "core/trainer.h"
+#include "preprocess/features.h"
 
 namespace adsala::core {
 namespace {
@@ -277,21 +279,119 @@ TEST_F(ArtefactCorpus, NullModelWeightRejected) {
   EXPECT_EQ(load_error(model, config), ErrorCode::kValidationError);
 }
 
+/// Rewrites a config's fitted pipeline onto the input columns `names`:
+/// per-column arrays resized to match, categorical = every column past the
+/// numeric 17, kept indices clipped to the new width — a self-consistent
+/// pipeline of another schema.
+void set_pipeline_columns(Json& doc, const std::vector<std::string>& names) {
+  Json& pipe = doc["pipeline"];
+  JsonArray name_array, categorical, keep;
+  for (std::size_t j = 0; j < names.size(); ++j) {
+    name_array.emplace_back(names[j]);
+    if (j >= preprocess::kNumFeatures) categorical.emplace_back(j);
+  }
+  for (const auto& v : pipe["keep"].as_array()) {
+    if (static_cast<std::size_t>(v.as_number()) < names.size()) {
+      keep.push_back(v);
+    }
+  }
+  pipe["feature_names"] = Json(std::move(name_array));
+  pipe["categorical"] = Json(std::move(categorical));
+  pipe["keep"] = Json(std::move(keep));
+  for (const char* key : {"lambdas", "means", "stds"}) {
+    std::vector<double> values = pipe[key].to_doubles();
+    values.resize(names.size(), std::string(key) == "means" ? 0.0 : 1.0);
+    pipe[key] = Json::from_doubles(values);
+  }
+}
+
 TEST_F(ArtefactCorpus, UnknownSchemaWidthRejected) {
-  auto [model, config] = scratch_copy("bad_width");
+  // The widths earlier builds of this library wrote — numeric-only 17, then
+  // op-aware tiers with a 2-wide kernel block over 2, 4 and 5 op columns —
+  // and one column past the schema. Each is refused, naming the config.
+  const std::vector<std::string>& base = preprocess::feature_names();
+  auto with = [&](std::vector<std::string> tail) {
+    std::vector<std::string> names = base;
+    names.insert(names.end(), tail.begin(), tail.end());
+    return names;
+  };
+  std::vector<std::string> wide = preprocess::op_aware_feature_names();
+  wide.push_back("op_bogus");
+  const std::vector<std::vector<std::string>> schemas = {
+      base,
+      with({"op_gemm", "op_syrk", "kernel_generic", "kernel_avx2"}),
+      with({"op_gemm", "op_syrk", "op_trsm", "op_symm", "kernel_generic",
+            "kernel_avx2"}),
+      with({"op_gemm", "op_syrk", "op_trsm", "op_symm", "op_trmm",
+            "kernel_generic", "kernel_avx2"}),
+      wide};
+  std::vector<std::size_t> widths;
+  for (const auto& names : schemas) {
+    widths.push_back(names.size());
+    auto [model, config] =
+        scratch_copy("width_" + std::to_string(names.size()));
+    rewrite_json(config, [&](Json& doc) { set_pipeline_columns(doc, names); });
+    const auto result = AdsalaGemm::try_load(model, config);
+    ASSERT_FALSE(result.ok()) << "width " << names.size();
+    EXPECT_EQ(result.error().code, ErrorCode::kValidationError);
+    EXPECT_NE(result.error().message.find(config), std::string::npos)
+        << result.error().message;
+    EXPECT_NE(result.error().message.find("schema"), std::string::npos)
+        << result.error().message;
+  }
+  EXPECT_EQ(widths, (std::vector<std::size_t>{17, 21, 23, 24, 26}));
+}
+
+TEST_F(ArtefactCorpus, RenamedColumnAtFullWidthRejected) {
+  // 25 columns, but not the schema's names: the width alone proves nothing.
+  auto [model, config] = scratch_copy("renamed_column");
+  std::vector<std::string> names = preprocess::op_aware_feature_names();
+  std::swap(names[preprocess::kNumFeatures], names.back());
+  rewrite_json(config, [&](Json& doc) { set_pipeline_columns(doc, names); });
+  const auto result = AdsalaGemm::try_load(model, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, ErrorCode::kValidationError);
+  EXPECT_NE(result.error().message.find(config), std::string::npos)
+      << result.error().message;
+}
+
+TEST_F(ArtefactCorpus, MissingFormatStampsRejected) {
+  // Every artefact this library writes is stamped; an unstamped file is not
+  // one of them, whichever of the pair lacks the stamp.
+  for (const bool strip_model : {true, false}) {
+    auto [model, config] =
+        scratch_copy(strip_model ? "no_model_stamp" : "no_config_stamp");
+    const std::string& path = strip_model ? model : config;
+    rewrite_json(path, [](Json& doc) { doc.as_object().erase("format"); });
+    const auto result = AdsalaGemm::try_load(model, config);
+    ASSERT_FALSE(result.ok()) << path;
+    EXPECT_EQ(result.error().code, ErrorCode::kValidationError);
+    EXPECT_NE(result.error().message.find(path), std::string::npos)
+        << result.error().message;
+  }
+}
+
+TEST_F(ArtefactCorpus, PipelineWithoutCategoricalKeyRejected) {
+  auto [model, config] = scratch_copy("no_categorical");
   rewrite_json(config, [](Json& doc) {
-    // One extra input column pushes the fitted width past every known tier.
-    Json& pipe = doc["pipeline"];
-    pipe["feature_names"].as_array().emplace_back("op_bogus");
-    pipe["lambdas"].as_array().emplace_back(1.0);
-    pipe["means"].as_array().emplace_back(0.0);
-    pipe["stds"].as_array().emplace_back(1.0);
+    doc["pipeline"].as_object().erase("categorical");
   });
   const auto result = AdsalaGemm::try_load(model, config);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, ErrorCode::kValidationError);
-  EXPECT_NE(result.error().message.find("schema width"), std::string::npos)
+  EXPECT_NE(result.error().message.find(config), std::string::npos)
       << result.error().message;
+}
+
+TEST_F(ArtefactCorpus, InconsistentPipelineArraysRejected) {
+  // A kept index past the input width would make transform_row read out of
+  // bounds; the loader refuses the pipeline instead.
+  auto [model, config] = scratch_copy("keep_out_of_range");
+  rewrite_json(config, [](Json& doc) {
+    doc["pipeline"]["keep"].as_array().emplace_back(
+        preprocess::kNumOpAwareFeatures);
+  });
+  EXPECT_EQ(load_error(model, config), ErrorCode::kValidationError);
 }
 
 TEST_F(ArtefactCorpus, UnknownFormatStampRejected) {
@@ -315,15 +415,6 @@ TEST_F(ArtefactCorpus, MissingConfigFieldRejected) {
     obj.erase("thread_grid");
   });
   EXPECT_EQ(load_error(model, config), ErrorCode::kValidationError);
-}
-
-TEST_F(ArtefactCorpus, LegacyArtefactsWithoutStampStillLoad) {
-  // Pre-PR-6 artefacts carry no "format" field; absence must stay legal.
-  auto [model, config] = scratch_copy("no_stamp");
-  rewrite_json(model, [](Json& doc) { doc.as_object().erase("format"); });
-  rewrite_json(config, [](Json& doc) { doc.as_object().erase("format"); });
-  auto result = AdsalaGemm::try_load(model, config);
-  EXPECT_TRUE(result.ok()) << result.error().message;
 }
 
 TEST_F(ArtefactCorpus, ThrowingConstructorReportsTryLoadMessage) {
@@ -1011,9 +1102,9 @@ TEST(CsvFaults, GatherLoadCsvPropagatesLineNumbers) {
   const std::string path = "/tmp/adsala_test_gather_bad.csv";
   {
     std::ofstream out(path);
-    out << "m,k,n,elem_bytes,threads,runtime\n"
-        << "100,200,300,4,1,0.5\n"
-        << "100,200,300,4,2,not_a_number\n";
+    out << "m,k,n,elem_bytes,threads,runtime,op,variant\n"
+        << "100,200,300,4,1,0.5,0,1\n"
+        << "100,200,300,4,2,not_a_number,0,1\n";
   }
   try {
     GatherData::load_csv(path);

@@ -178,76 +178,6 @@ TEST(OpRegistry, FreshAllOpModelServesTrmmFirstClass) {
       << "trmm-family rows must influence thread selection";
 }
 
-/// Hand-builds an artefact pair of a past schema era: `op_names` lists the
-/// op one-hot columns that era carried (in code order).
-AdsalaGemm era_artefact(const GatherData& data,
-                        const std::vector<std::string>& op_names) {
-  std::vector<std::string> names = preprocess::feature_names();
-  for (const auto& n : op_names) names.push_back("op_" + n);
-  names.insert(names.end(), {"kernel_generic", "kernel_avx2"});
-
-  ml::Dataset rows(names);
-  for (const auto& rec : data.records) {
-    for (std::size_t t = 0; t < rec.threads.size(); ++t) {
-      const auto base = preprocess::make_features(
-          static_cast<double>(rec.shape.m), static_cast<double>(rec.shape.k),
-          static_cast<double>(rec.shape.n),
-          static_cast<double>(rec.threads[t]));
-      std::vector<double> row(base.begin(), base.end());
-      for (const auto& n : op_names) {
-        row.push_back(n == blas::op_name(rec.op) ? 1.0 : 0.0);
-      }
-      row.insert(row.end(), {1.0, 0.0});
-      rows.add_row(row, rec.runtime[t]);
-    }
-  }
-
-  TrainOutput legacy;
-  legacy.selected = "decision_tree";
-  legacy.thread_grid = data.thread_grid;
-  legacy.max_threads = data.max_threads;
-  legacy.platform = data.platform;
-  preprocess::PipelineConfig pipe_cfg;
-  for (std::size_t j = preprocess::kNumFeatures; j < names.size(); ++j) {
-    pipe_cfg.categorical.push_back(j);
-  }
-  legacy.pipeline = preprocess::Pipeline(pipe_cfg);
-  const auto train_set = legacy.pipeline.fit_transform(rows);
-  legacy.model = ml::make_model("decision_tree");
-  legacy.model->fit(train_set);
-  return AdsalaGemm(std::move(legacy));
-}
-
-TEST(OpRegistry, TrmmDegradesToGemmProxyOnPreTrmmArtefacts) {
-  // A PR-3-era 23-column artefact (gemm/syrk/trsm/symm one-hots) predates
-  // TRMM: trmm queries must build op_gemm = 1 rows and agree with the
-  // explicit GEMM query of the equivalent shape, while trsm stays
-  // first-class.
-  auto ex = tiny_executor();
-  GatherConfig cfg = tiny_gather_config(40);
-  cfg.ops = {blas::OpKind::kGemm, blas::OpKind::kSyrk, blas::OpKind::kTrsm,
-             blas::OpKind::kSymm};
-  const auto data = gather_timings(ex, cfg);
-
-  AdsalaGemm pr3 = era_artefact(data, {"gemm", "syrk", "trsm", "symm"});
-  EXPECT_TRUE(pr3.op_aware());
-  ASSERT_EQ(pr3.pipeline().n_input_features(), 23u);
-  for (long n : {64L, 256L, 700L}) {
-    const int p_gemm = pr3.select_threads(n, n, 3 * n);
-    EXPECT_EQ(pr3.select_threads(blas::OpKind::kTrmm, n, 3 * n), p_gemm);
-  }
-
-  // A PR-2-era 21-column artefact proxies every triangular family.
-  AdsalaGemm pr2 = era_artefact(data, {"gemm", "syrk"});
-  ASSERT_EQ(pr2.pipeline().n_input_features(),
-            preprocess::kNumLegacyOpAwareFeatures);
-  for (long n : {64L, 256L, 700L}) {
-    const int p_gemm = pr2.select_threads(n, n, 3 * n);
-    EXPECT_EQ(pr2.select_threads(blas::OpKind::kTrmm, n, 3 * n), p_gemm);
-    EXPECT_EQ(pr2.select_threads(blas::OpKind::kTrsm, n, 3 * n), p_gemm);
-  }
-}
-
 TEST(OpRegistry, TrmmArtefactsSurviveSaveLoad) {
   auto ex = tiny_executor();
   GatherConfig cfg = tiny_gather_config(30);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -324,93 +325,31 @@ TEST(Features, OpAwareValuesEncodeOpAndVariant) {
   }
 }
 
-TEST(Features, QueryRowsMatchEverySchemaTier) {
+TEST(Features, QueryRowIsTheOpAwareRow) {
   using blas::kernels::Variant;
-  // Current 25-column tier reproduces make_op_aware_features.
-  const auto full = make_query_features(2, 3, 4, 8, blas::OpKind::kTrsm,
-                                        Variant::kAvx2, kNumOpAwareFeatures);
-  const auto expect = make_op_aware_features(2, 3, 4, 8, blas::OpKind::kTrsm,
-                                             Variant::kAvx2);
-  ASSERT_EQ(full.size(), kNumOpAwareFeatures);
-  for (std::size_t j = 0; j < kNumOpAwareFeatures; ++j) {
-    EXPECT_DOUBLE_EQ(full[j], expect[j]);
-  }
-
-  // PR-4 24-column tier: all five op one-hots but the 2-wide kernel pair;
-  // an avx512 query is proxied as the nearest tier the artefact knows
-  // (avx2), and every op stays first-class.
-  const auto pr4 = make_query_features(2, 3, 4, 8, blas::OpKind::kTrmm,
-                                       Variant::kAvx512, 24);
-  ASSERT_EQ(pr4.size(), 24u);
-  EXPECT_DOUBLE_EQ(pr4[21], 1.0) << "op_trmm stays first-class";
-  EXPECT_DOUBLE_EQ(pr4[22], 0.0) << "kernel_generic";
-  EXPECT_DOUBLE_EQ(pr4[23], 1.0) << "kernel_avx2 (avx512 proxy)";
-
-  // PR-3 23-column tier: four op one-hots; TRSM stays first-class but TRMM
-  // (registered later) is proxied as a GEMM row.
-  const auto pr3_trsm = make_query_features(2, 3, 4, 8, blas::OpKind::kTrsm,
-                                            Variant::kGeneric, 23);
-  ASSERT_EQ(pr3_trsm.size(), 23u);
-  EXPECT_DOUBLE_EQ(pr3_trsm[17], 0.0) << "op_gemm";
-  EXPECT_DOUBLE_EQ(pr3_trsm[19], 1.0) << "op_trsm";
-  EXPECT_DOUBLE_EQ(pr3_trsm[21], 1.0) << "kernel_generic";
-  const auto pr3_trmm = make_query_features(2, 3, 4, 8, blas::OpKind::kTrmm,
-                                            Variant::kGeneric, 23);
-  ASSERT_EQ(pr3_trmm.size(), 23u);
-  EXPECT_DOUBLE_EQ(pr3_trmm[17], 1.0) << "op_gemm (trmm proxy)";
-  EXPECT_DOUBLE_EQ(pr3_trmm[19], 0.0) << "op_trsm";
-  EXPECT_DOUBLE_EQ(pr3_trmm[20], 0.0) << "op_symm";
-
-  // PR-2 21-column tier: gemm/syrk one-hots only; the triangular families
-  // are proxied as GEMM rows.
-  for (const blas::OpKind op :
-       {blas::OpKind::kGemm, blas::OpKind::kTrsm, blas::OpKind::kSymm,
-        blas::OpKind::kTrmm}) {
-    const auto legacy = make_query_features(2, 3, 4, 8, op, Variant::kGeneric,
-                                            kNumLegacyOpAwareFeatures);
-    ASSERT_EQ(legacy.size(), kNumLegacyOpAwareFeatures);
-    EXPECT_DOUBLE_EQ(legacy[17], 1.0) << "op_gemm (proxy)";
-    EXPECT_DOUBLE_EQ(legacy[18], 0.0) << "op_syrk";
-    EXPECT_DOUBLE_EQ(legacy[19], 1.0) << "kernel_generic";
-    EXPECT_DOUBLE_EQ(legacy[20], 0.0) << "kernel_avx2";
-  }
-  const auto legacy_syrk = make_query_features(
-      2, 3, 4, 8, blas::OpKind::kSyrk, Variant::kGeneric,
-      kNumLegacyOpAwareFeatures);
-  EXPECT_DOUBLE_EQ(legacy_syrk[17], 0.0);
-  EXPECT_DOUBLE_EQ(legacy_syrk[18], 1.0);
-
-  // PR-1 17-column tier: numeric features only.
-  const auto base17 = make_query_features(2, 3, 4, 8, blas::OpKind::kSymm,
-                                          Variant::kGeneric, kNumFeatures);
-  const auto base = make_features(2, 3, 4, 8);
-  ASSERT_EQ(base17.size(), kNumFeatures);
-  for (std::size_t j = 0; j < kNumFeatures; ++j) {
-    EXPECT_DOUBLE_EQ(base17[j], base[j]);
+  for (const blas::OpKind op : blas::all_ops()) {
+    const auto row = make_query_features(2, 3, 4, 8, op, Variant::kAvx2,
+                                         kNumOpAwareFeatures);
+    const auto expect = make_op_aware_features(2, 3, 4, 8, op, Variant::kAvx2);
+    ASSERT_EQ(row.size(), kNumOpAwareFeatures);
+    for (std::size_t j = 0; j < kNumOpAwareFeatures; ++j) {
+      EXPECT_DOUBLE_EQ(row[j], expect[j]) << blas::op_name(op) << " col " << j;
+    }
   }
 }
 
-TEST(Features, OpServedFirstClassFollowsTheFittedWidth) {
-  using blas::OpKind;
-  // Current full width: every registered op first-class.
-  for (const OpKind op : blas::all_ops()) {
-    EXPECT_TRUE(op_served_first_class(op, kNumOpAwareFeatures))
-        << blas::op_name(op);
+TEST(Features, QueryRowRejectsEveryOtherWidth) {
+  // The widths earlier builds of this library wrote (numeric-only 17, the
+  // 21/23/24-column op-aware tiers) and one past the schema: no query row is
+  // re-shaped to fit a pipeline of another width.
+  for (const std::size_t width : {std::size_t{0}, kNumFeatures,
+                                  std::size_t{21}, std::size_t{23},
+                                  std::size_t{24}, kNumOpAwareFeatures + 1}) {
+    EXPECT_THROW(make_query_features(2, 3, 4, 8, blas::OpKind::kGemm,
+                                     blas::kernels::Variant::kGeneric, width),
+                 std::invalid_argument)
+        << "width " << width;
   }
-  // PR-4 24-column artefact (2-wide kernel block): all five ops first-class.
-  for (const OpKind op : blas::all_ops()) {
-    EXPECT_TRUE(op_served_first_class(op, 24)) << blas::op_name(op);
-  }
-  // PR-3 23-column artefact: trmm postdates it.
-  EXPECT_TRUE(op_served_first_class(OpKind::kTrsm, 23));
-  EXPECT_TRUE(op_served_first_class(OpKind::kSymm, 23));
-  EXPECT_FALSE(op_served_first_class(OpKind::kTrmm, 23));
-  // PR-2 21-column artefact: gemm/syrk only.
-  EXPECT_TRUE(op_served_first_class(OpKind::kSyrk, 21));
-  EXPECT_FALSE(op_served_first_class(OpKind::kTrsm, 21));
-  // PR-1 17-column artefact: gemm proxy for everything.
-  EXPECT_TRUE(op_served_first_class(OpKind::kGemm, kNumFeatures));
-  EXPECT_FALSE(op_served_first_class(OpKind::kSyrk, kNumFeatures));
 }
 
 // ---------------------------------------------------------------- Pipeline

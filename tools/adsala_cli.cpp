@@ -103,7 +103,7 @@
 #include "core/resilient_client.h"
 #include "core/retune.h"
 #include "core/shm_store.h"
-#include "preprocess/features.h"
+#include "preprocess/pipeline.h"
 
 using namespace adsala;
 
@@ -474,14 +474,13 @@ int cmd_inspect(const Args& args) {
               pipe.at("lof").as_bool() ? "on" : "off",
               pipe.at("corr_filter").as_bool() ? "on" : "off",
               pipe.at("log_label").as_bool() ? "on" : "off");
-  bool op_aware = false;
-  for (const auto& name : pipe.at("feature_names").as_array()) {
-    if (name.as_string() == "op_syrk") op_aware = true;
-  }
-  std::printf("features    : %zu kept of %zu (%s schema)\n",
-              pipe.at("keep").as_array().size(),
-              pipe.at("feature_names").as_array().size(),
-              op_aware ? "op-aware" : "PR-1 base");
+  // Same rule as ServingSnapshot::op_aware(): did an op column survive?
+  preprocess::Pipeline pipeline;
+  pipeline.load(pipe);
+  std::printf("features    : %zu kept of %zu (%s)\n",
+              pipeline.kept_features().size(), pipeline.n_input_features(),
+              core::keeps_op_column(pipeline) ? "op-aware"
+                                              : "GEMM-only, others proxied");
   return 0;
 }
 
