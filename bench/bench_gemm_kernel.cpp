@@ -9,6 +9,8 @@
 // GFLOPS_avx2 / GFLOPS_avx512 / ratio counters (the avx512-vs-avx2 headline
 // number at 1024^3 fp32) and BM_SgemmSmallRepeat tracks the repeated-
 // small-GEMM regime the PackArena + spin-wait fork/join changes target.
+// BM_Level3/<op> times the four other level-3 ops (SYRK, TRSM, SYMM, TRMM)
+// on the dispatched kernel at square sizes, on one thread and on all.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -21,7 +23,12 @@
 
 #include "blas/gemm.h"
 #include "blas/kernels/dispatch.h"
+#include "blas/op.h"
 #include "blas/pack_pipeline.h"
+#include "blas/symm.h"
+#include "blas/syrk.h"
+#include "blas/trmm.h"
+#include "blas/trsm.h"
 #include "common/aligned_buffer.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -220,6 +227,65 @@ void BM_DgemmSquare(benchmark::State& state, kernels::Variant variant) {
       benchmark::Counter::kIsRate);
 }
 
+void BM_Level3(benchmark::State& state, blas::OpKind op) {
+  // One non-GEMM op at dim x dim fp32 on `threads` threads (0 = all): SYRK
+  // with n = k = dim, TRSM / SYMM / TRMM with n = m = dim. TRSM and TRMM
+  // overwrite B with their result, so each iteration works on the previous
+  // one's output; their triangle is the identity, which keeps B unchanged
+  // (no overflow or denormal slow paths) and costs the same FMAs as any
+  // other values.
+  using blas::Diag;
+  using blas::OpKind;
+  using blas::Trans;
+  using blas::Uplo;
+  const auto dim = static_cast<int>(state.range(0));
+  const auto threads = static_cast<int>(state.range(1));
+  const std::size_t elems = static_cast<std::size_t>(dim) * dim;
+  AlignedBuffer<float> a(elems);
+  AlignedBuffer<float> b(elems);
+  AlignedBuffer<float> c(elems);
+  fill_random(a, 15);
+  fill_random(b, 16);
+  if (op == OpKind::kTrsm || op == OpKind::kTrmm) {
+    for (std::size_t i = 0; i < elems; ++i) a[i] = 0.0f;
+    for (std::size_t i = 0; i < elems; i += dim + 1) a[i] = 1.0f;
+  }
+  double flops = 0.0;
+  for (auto _ : state) {
+    switch (op) {
+      case OpKind::kSyrk:
+        blas::syrk<float>(Uplo::kLower, Trans::kNo, dim, dim, 1.0f, a.data(),
+                          dim, 0.0f, c.data(), dim, threads);
+        flops = blas::syrk_flops(dim, dim);
+        break;
+      case OpKind::kTrsm:
+        blas::trsm<float>(Uplo::kLower, Trans::kNo, Diag::kNonUnit, dim, dim,
+                          1.0f, a.data(), dim, b.data(), dim, threads);
+        flops = blas::trsm_flops(dim, dim);
+        break;
+      case OpKind::kSymm:
+        blas::symm<float>(Uplo::kLower, dim, dim, 1.0f, a.data(), dim,
+                          b.data(), dim, 0.0f, c.data(), dim, threads);
+        flops = blas::symm_flops(dim, dim);
+        break;
+      case OpKind::kTrmm:
+        blas::trmm<float>(Uplo::kLower, Trans::kNo, Diag::kNonUnit, dim, dim,
+                          1.0f, a.data(), dim, b.data(), dim, threads);
+        flops = blas::trmm_flops(dim, dim);
+        break;
+      case OpKind::kGemm:
+        state.SkipWithError("GEMM has its own regimes");
+        return;
+    }
+    benchmark::DoNotOptimize(b.data());
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      flops * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
 /// Element-wise check of one variant against the naive reference at a size
 /// where plain 1e-4 / 1e-10 absolute tolerances are meaningful for the
 /// accumulation length (k = 256).
@@ -309,6 +375,16 @@ int main(int argc, char** argv) {
         ->Unit(benchmark::kSecond)
         ->UseRealTime()
         ->Iterations(1);
+  }
+  // The other four level-3 ops (active variant) on one thread and on all;
+  // 128 is the CI smoke size.
+  for (const blas::OpKind op : {blas::OpKind::kSyrk, blas::OpKind::kTrsm,
+                                blas::OpKind::kSymm, blas::OpKind::kTrmm}) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_Level3/") + blas::op_name(op)).c_str(), BM_Level3, op)
+        ->ArgsProduct({{128, 256, 512, 1024}, {1, 0 /* all */}})
+        ->Unit(benchmark::kMicrosecond)
+        ->UseRealTime();
   }
   // Pack-pipeline regimes (active variant, max threads): square and ragged
   // (m = dim + 13, off the MC grid) at the tuner's mid sizes.

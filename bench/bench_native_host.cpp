@@ -5,13 +5,18 @@
 // ./native_artifacts (model.json / config.json / timings.csv), so a real
 // host is trained end-to-end by just running this binary, and re-trainable
 // without re-timing via InstallOptions::reuse_timings_csv. The bench then
-// reports the achieved speedup of ML-selected thread counts vs
-// always-max-threads on fresh shapes, per gathered operation.
+// times every thread count 1..max on fresh shapes of each gathered
+// operation and reports, per op, the speedup of the ML-selected count over
+// always-max-threads (geomean, worst decile) and its oracle capture: the
+// geomean of t_oracle / t_ml, where the oracle is the fastest measured
+// count. BENCH_native_host.json carries one row per shape (t_ml, t_max,
+// t_oracle, chosen and best p) beside the per-op summary rows.
 //
 // Knobs: ADSALA_BENCH_NATIVE_SAMPLES (shapes per op, default 60),
-// ADSALA_BENCH_NATIVE_OPS (comma list of registered ops, default gemm),
+// ADSALA_BENCH_NATIVE_OPS (comma list of registered ops, default all five),
 // ADSALA_BENCH_NATIVE_DIR (artefact directory, default native_artifacts),
 // ADSALA_BENCH_MODEL (pin one registry model, as in bench_util.h).
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <string>
@@ -26,10 +31,10 @@ using namespace adsala;
 namespace {
 
 std::vector<blas::OpKind> native_ops() {
-  std::vector<blas::OpKind> ops = {blas::OpKind::kGemm};
+  const auto all = blas::all_ops();
   const char* env = std::getenv("ADSALA_BENCH_NATIVE_OPS");
-  if (env == nullptr || *env == '\0') return ops;
-  ops.clear();
+  if (env == nullptr || *env == '\0') return {all.begin(), all.end()};
+  std::vector<blas::OpKind> ops;
   std::string list = env;
   std::size_t start = 0;
   while (start <= list.size()) {
@@ -46,8 +51,14 @@ std::vector<blas::OpKind> native_ops() {
     if (comma == std::string::npos) break;
     start = comma + 1;
   }
-  if (ops.empty()) ops.push_back(blas::OpKind::kGemm);
+  if (ops.empty()) return {all.begin(), all.end()};
   return ops;
+}
+
+double geomean(const std::vector<double>& ratios) {
+  std::vector<double> logs;
+  for (const double r : ratios) logs.push_back(std::log(r));
+  return std::exp(mean(logs));
 }
 
 }  // namespace
@@ -100,40 +111,65 @@ int main() {
     const auto shapes =
         core::op_traits(op).make_sampler(test_domain)->sample(30);
 
-    std::vector<double> speedups;
+    const int max_p = executor.max_threads();
+    std::vector<double> speedups, captures;
     for (const auto& shape : shapes) {
       long coords[3] = {0, 0, 0};
       core::op_traits(op).from_shape(shape, &coords[0], &coords[1],
                                      &coords[2]);
       WallTimer eval_timer;
-      const int p = runtime.select_threads(op, coords[0], coords[1],
-                                           coords[2]);
+      const int chosen = std::clamp(
+          runtime.select_threads(op, coords[0], coords[1], coords[2]), 1,
+          max_p);
       const double t_eval = eval_timer.seconds();
-      const double t_ml = executor.measure_op(op, shape, p, 3) + t_eval;
-      const double t_max =
-          executor.measure_op(op, shape, executor.max_threads(), 3);
-      speedups.push_back(t_max / t_ml);
+      // Every thread count, so the chosen one, max and the oracle (the
+      // fastest) come from the same sweep.
+      std::vector<double> t_p(static_cast<std::size_t>(max_p) + 1, 0.0);
+      int best = 1;
+      for (int p = 1; p <= max_p; ++p) {
+        t_p[p] = executor.measure_op(op, shape, p, 3);
+        if (t_p[p] < t_p[best]) best = p;
+      }
+      const double t_ml = t_p[chosen] + t_eval;
+      speedups.push_back(t_p[max_p] / t_ml);
+      captures.push_back(t_p[best] / t_ml);
+
+      JsonObject row;
+      row["op"] = Json(blas::op_name(op));
+      row["m"] = Json(static_cast<double>(shape.m));
+      row["k"] = Json(static_cast<double>(shape.k));
+      row["n"] = Json(static_cast<double>(shape.n));
+      row["chosen_p"] = Json(chosen);
+      row["best_p"] = Json(best);
+      row["t_ml_s"] = Json(t_ml);
+      row["t_max_s"] = Json(t_p[max_p]);
+      row["t_oracle_s"] = Json(t_p[best]);
+      json.add(std::move(row));
     }
     // Speedups are ratios: the geometric mean is their average (one 77x
     // outlier would dominate an arithmetic mean), and the worst decile is
     // where a tuner loses to the default.
-    std::vector<double> logs;
-    for (const double s : speedups) logs.push_back(std::log(s));
-    const double geomean = std::exp(mean(logs));
+    const double speedup = geomean(speedups);
+    const double capture = geomean(captures);
     const double p10 = percentile(speedups, 10);
     std::printf(
-        "\n%s speedup over always-max-threads on %zu fresh shapes:\n"
-        "  geomean %.2f   p10 %.2f   median %.2f   min %.2f   max %.2f\n",
-        blas::op_name(op), speedups.size(), geomean, p10,
-        percentile(speedups, 50), min_of(speedups), max_of(speedups));
+        "\n%s over always-max-threads on %zu fresh shapes (p = 1..%d "
+        "timed):\n"
+        "  speedup geomean %.2f   p10 %.2f   median %.2f   min %.2f   "
+        "max %.2f\n"
+        "  oracle capture (geomean t_oracle / t_ml) %.2f\n",
+        blas::op_name(op), speedups.size(), max_p, speedup, p10,
+        percentile(speedups, 50), min_of(speedups), max_of(speedups),
+        capture);
 
     JsonObject row;
     row["op"] = Json(blas::op_name(op));
-    row["geomean_speedup"] = Json(geomean);
+    row["geomean_speedup"] = Json(speedup);
     row["p10_speedup"] = Json(p10);
     row["median_speedup"] = Json(percentile(speedups, 50));
     row["min_speedup"] = Json(min_of(speedups));
     row["max_speedup"] = Json(max_of(speedups));
+    row["oracle_capture"] = Json(capture);
     json.add(std::move(row));
   }
 

@@ -44,13 +44,23 @@ void gemm(Trans trans_a, Trans trans_b, int m, int n, int k, T alpha,
 
   // Micro-kernel geometry is a runtime property of the dispatched set.
   const kernels::KernelSet<T>& ks = kernels::kernel_set<T>(tuning.variant);
-  const detail::BlockGeom g = detail::block_geometry(ks, tuning);
+  detail::gemm_macro_loop<T>(p, ks, detail::block_geometry(ks, tuning),
+                             trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
+                             beta, c, ldc);
+}
 
+namespace detail {
+
+template <typename T>
+void gemm_macro_loop(std::size_t p, const kernels::KernelSet<T>& ks,
+                     const BlockGeom& g, Trans trans_a, Trans trans_b, int m,
+                     int n, int k, T alpha, const T* a, int lda, const T* b,
+                     int ldb, T beta, T* c, int ldc) {
   // The pack pipeline (see blas/pack_pipeline.h and run_macro_loop): B is
   // packed cooperatively into a ping/pong pair while the previous panel
   // computes, and MC-row tiles are claimed through a stealable deck, so
   // ragged shapes and packing skew no longer leave threads idle.
-  detail::run_macro_loop<T>(
+  run_macro_loop<T>(
       p, ks, g, m, n, k,
       // Cooperative B pack: one NR-column micro-panel of the kc block.
       [&](int jc, int pc, int kc_eff, int q, T* dst) {
@@ -73,6 +83,20 @@ void gemm(Trans trans_a, Trans trans_b, int m, int n, int k, T alpha,
                                 c + static_cast<long>(t.ic) * ldc + t.jc, ldc);
       });
 }
+
+template void gemm_macro_loop<float>(std::size_t,
+                                     const kernels::KernelSet<float>&,
+                                     const BlockGeom&, Trans, Trans, int, int,
+                                     int, float, const float*, int,
+                                     const float*, int, float, float*, int);
+template void gemm_macro_loop<double>(std::size_t,
+                                      const kernels::KernelSet<double>&,
+                                      const BlockGeom&, Trans, Trans, int, int,
+                                      int, double, const double*, int,
+                                      const double*, int, double, double*,
+                                      int);
+
+}  // namespace detail
 
 void sgemm(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha,
            const float* a, int lda, const float* b, int ldb, float beta,

@@ -13,11 +13,16 @@
 // builds (and the rest of the library stays portable) under the default
 // x86-64 baseline; the dispatcher only hands these pointers out after a
 // CPUID probe confirms AVX2+FMA.
+//
+// TRSM's diagonal-block solve (KernelSet::diag_solve) is instantiated here
+// too, from blas/kernels/diag_solve.h.
 #include "blas/kernels/kernel_set.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 namespace adsala::blas::kernels::detail {
 
@@ -186,7 +191,113 @@ __attribute__((target("avx2,fma"))) void dgemm_6x8_edge(int kc, double alpha,
   }
 }
 
+// ---------------------------------------------------- TRSM diagonal solve --
+//
+// The vocabulary blas/kernels/diag_solve.h writes the solve in.
+
+/// The register and lane-mask types of one scalar type.
+template <typename T>
+struct Simd;
+template <>
+struct Simd<float> {
+  using Vec = __m256;
+};
+template <>
+struct Simd<double> {
+  using Vec = __m256d;
+};
+template <typename T>
+using Vec = typename Simd<T>::Vec;
+template <typename T>
+using Mask = __m256i;
+
+/// 4 vectors x 96 rows x 32 B: a full chunk of the deepest diagonal block
+/// this tier resolves (nb = 96, fp32) is 12 KB of L1.
+inline constexpr int kSolveVecs = 4;
+
+/// Rows per register block: 8 accumulators of the 16 ymm registers, plus
+/// the chunk's loads.
+constexpr int solve_rows(int nv) { return std::clamp(8 / nv, 1, 4); }
+
+/// All-ones lanes [0, n) of a 32-bit (fp32) or 64-bit (fp64) lane mask.
+template <typename T>
+__attribute__((target("avx2,fma"), always_inline)) inline Mask<T> lane_mask(
+    int n) {
+  if constexpr (sizeof(T) == 4) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  } else {
+    return _mm256_cmpgt_epi64(_mm256_set1_epi64x(n),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
+  }
+}
+
+__attribute__((target("avx2,fma"), always_inline)) inline __m256 vload(
+    const float* p) {
+  return _mm256_loadu_ps(p);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline __m256d vload(
+    const double* p) {
+  return _mm256_loadu_pd(p);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline __m256 vload(
+    __m256i m, const float* p) {
+  return _mm256_maskload_ps(p, m);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline __m256d vload(
+    __m256i m, const double* p) {
+  return _mm256_maskload_pd(p, m);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline void vstore(
+    float* p, __m256 v) {
+  _mm256_storeu_ps(p, v);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline void vstore(
+    double* p, __m256d v) {
+  _mm256_storeu_pd(p, v);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline void vstore(
+    __m256i m, float* p, __m256 v) {
+  _mm256_maskstore_ps(p, m, v);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline void vstore(
+    __m256i m, double* p, __m256d v) {
+  _mm256_maskstore_pd(p, m, v);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline __m256 vset1(
+    float x) {
+  return _mm256_set1_ps(x);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline __m256d vset1(
+    double x) {
+  return _mm256_set1_pd(x);
+}
+/// c - a * b, one rounding.
+__attribute__((target("avx2,fma"), always_inline)) inline __m256 vfnmadd(
+    __m256 a, __m256 b, __m256 c) {
+  return _mm256_fnmadd_ps(a, b, c);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline __m256d vfnmadd(
+    __m256d a, __m256d b, __m256d c) {
+  return _mm256_fnmadd_pd(a, b, c);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline __m256 vdiv(
+    __m256 a, __m256 b) {
+  return _mm256_div_ps(a, b);
+}
+__attribute__((target("avx2,fma"), always_inline)) inline __m256d vdiv(
+    __m256d a, __m256d b) {
+  return _mm256_div_pd(a, b);
+}
+
 }  // namespace
+}  // namespace adsala::blas::kernels::detail
+
+#define ADSALA_SOLVE_TARGET "avx2,fma"
+#include "blas/kernels/diag_solve.h"
+#undef ADSALA_SOLVE_TARGET
+
+namespace adsala::blas::kernels::detail {
 
 KernelSet<float> avx2_kernel_set_f32() {
   KernelSet<float> set;
@@ -200,6 +311,7 @@ KernelSet<float> avx2_kernel_set_f32() {
   set.name = "avx2";
   set.full = &sgemm_6x16_full;
   set.edge = &sgemm_6x16_edge;
+  set.diag_solve = &diag_solve<float>;
   return set;
 }
 
@@ -213,6 +325,7 @@ KernelSet<double> avx2_kernel_set_f64() {
   set.name = "avx2";
   set.full = &dgemm_6x8_full;
   set.edge = &dgemm_6x8_edge;
+  set.diag_solve = &diag_solve<double>;
   return set;
 }
 

@@ -14,11 +14,16 @@
 // -mavx512f so this TU still builds (and the rest of the library stays
 // portable) under the default x86-64 baseline; the dispatcher only hands
 // these pointers out after a CPUID probe confirms AVX-512F.
+//
+// TRSM's diagonal-block solve (KernelSet::diag_solve) is instantiated here
+// too, from blas/kernels/diag_solve.h.
 #include "blas/kernels/kernel_set.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 namespace adsala::blas::kernels::detail {
 
@@ -220,7 +225,106 @@ __attribute__((target("avx512f"))) void dgemm_14x16_edge(int kc, double alpha,
   }
 }
 
+// ---------------------------------------------------- TRSM diagonal solve --
+//
+// The vocabulary blas/kernels/diag_solve.h writes the solve in.
+
+/// The register and lane-mask types of one scalar type.
+template <typename T>
+struct Simd;
+template <>
+struct Simd<float> {
+  using Vec = __m512;
+  using Mask = __mmask16;
+};
+template <>
+struct Simd<double> {
+  using Vec = __m512d;
+  using Mask = __mmask8;
+};
+template <typename T>
+using Vec = typename Simd<T>::Vec;
+template <typename T>
+using Mask = typename Simd<T>::Mask;
+
+template <typename T>
+Mask<T> lane_mask(int n) {
+  return static_cast<Mask<T>>((1u << n) - 1);
+}
+
+/// 4 vectors x 128 rows x 64 B: a full chunk of the deepest diagonal block
+/// (nb = 128) is 32 KB, so the rows re-read by later rows stay in L1.
+inline constexpr int kSolveVecs = 4;
+
+/// Rows per register block: 16 accumulators, plus the chunk's loads.
+constexpr int solve_rows(int nv) { return std::clamp(16 / nv, 1, 6); }
+
+__attribute__((target("avx512f"), always_inline)) inline __m512 vload(
+    const float* p) {
+  return _mm512_loadu_ps(p);
+}
+__attribute__((target("avx512f"), always_inline)) inline __m512d vload(
+    const double* p) {
+  return _mm512_loadu_pd(p);
+}
+__attribute__((target("avx512f"), always_inline)) inline __m512 vload(
+    __mmask16 m, const float* p) {
+  return _mm512_maskz_loadu_ps(m, p);
+}
+__attribute__((target("avx512f"), always_inline)) inline __m512d vload(
+    __mmask8 m, const double* p) {
+  return _mm512_maskz_loadu_pd(m, p);
+}
+__attribute__((target("avx512f"), always_inline)) inline void vstore(
+    float* p, __m512 v) {
+  _mm512_storeu_ps(p, v);
+}
+__attribute__((target("avx512f"), always_inline)) inline void vstore(
+    double* p, __m512d v) {
+  _mm512_storeu_pd(p, v);
+}
+__attribute__((target("avx512f"), always_inline)) inline void vstore(
+    __mmask16 m, float* p, __m512 v) {
+  _mm512_mask_storeu_ps(p, m, v);
+}
+__attribute__((target("avx512f"), always_inline)) inline void vstore(
+    __mmask8 m, double* p, __m512d v) {
+  _mm512_mask_storeu_pd(p, m, v);
+}
+__attribute__((target("avx512f"), always_inline)) inline __m512 vset1(
+    float x) {
+  return _mm512_set1_ps(x);
+}
+__attribute__((target("avx512f"), always_inline)) inline __m512d vset1(
+    double x) {
+  return _mm512_set1_pd(x);
+}
+/// c - a * b, one rounding.
+__attribute__((target("avx512f"), always_inline)) inline __m512 vfnmadd(
+    __m512 a, __m512 b, __m512 c) {
+  return _mm512_fnmadd_ps(a, b, c);
+}
+__attribute__((target("avx512f"), always_inline)) inline __m512d vfnmadd(
+    __m512d a, __m512d b, __m512d c) {
+  return _mm512_fnmadd_pd(a, b, c);
+}
+__attribute__((target("avx512f"), always_inline)) inline __m512 vdiv(
+    __m512 a, __m512 b) {
+  return _mm512_div_ps(a, b);
+}
+__attribute__((target("avx512f"), always_inline)) inline __m512d vdiv(
+    __m512d a, __m512d b) {
+  return _mm512_div_pd(a, b);
+}
+
 }  // namespace
+}  // namespace adsala::blas::kernels::detail
+
+#define ADSALA_SOLVE_TARGET "avx512f"
+#include "blas/kernels/diag_solve.h"
+#undef ADSALA_SOLVE_TARGET
+
+namespace adsala::blas::kernels::detail {
 
 KernelSet<float> avx512_kernel_set_f32() {
   KernelSet<float> set;
@@ -236,6 +340,7 @@ KernelSet<float> avx512_kernel_set_f32() {
   set.name = "avx512";
   set.full = &sgemm_14x32_full;
   set.edge = &sgemm_14x32_edge;
+  set.diag_solve = &diag_solve<float>;
   return set;
 }
 
@@ -249,6 +354,7 @@ KernelSet<double> avx512_kernel_set_f64() {
   set.name = "avx512";
   set.full = &dgemm_14x16_full;
   set.edge = &dgemm_14x16_edge;
+  set.diag_solve = &diag_solve<double>;
   return set;
 }
 

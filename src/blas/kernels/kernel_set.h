@@ -1,7 +1,8 @@
 // Runtime-dispatched micro-kernel descriptor.
 //
 // A KernelSet bundles the register-blocked inner kernels for one scalar type
-// together with their MR x NR geometry. The blocked GEMM/SYRK drivers consume
+// (the GEMM micro-kernel and TRSM's diagonal-block solve) together with their
+// MR x NR geometry. The blocked GEMM/SYRK drivers consume
 // whatever geometry the set advertises instead of compile-time constants, so
 // swapping an AVX-512 14x32 kernel for the portable 6x8 one is purely a
 // runtime decision (CPUID probe, ADSALA_KERNEL env, or the set_variant() API
@@ -32,6 +33,17 @@ struct KernelSet {
   /// Fringe variant: same contract but writes back only rows x cols.
   using EdgeFn = void (*)(int kc, T alpha, const T* a, const T* b, T* c,
                           int ldc, int rows, int cols);
+  /// TRSM's in-place forward substitution over one diagonal block: for
+  /// i = 0..rows-1, row i of B (`cols` contiguous elements at b + i*ldb)
+  /// becomes (row_i - sum_{p<i} A(i,p) * row_p) / A(i,i), with A(i,p) at
+  /// a[i*a_rs + p*a_cs] and the division skipped when `unit_diag`. The
+  /// strides are signed, so this one kernel covers every uplo x trans case:
+  /// a backward solve is a forward solve from the block's last row with
+  /// negated strides. Every element sees the same operation sequence (p
+  /// ascending, then the division) whatever its column, so splitting the
+  /// columns across calls cannot change a result bit.
+  using DiagSolveFn = void (*)(int rows, int cols, const T* a, long a_rs,
+                               long a_cs, bool unit_diag, T* b, long ldb);
 
   int mr = 0;
   int nr = 0;
@@ -46,6 +58,7 @@ struct KernelSet {
   const char* name = "";
   FullFn full = nullptr;
   EdgeFn edge = nullptr;
+  DiagSolveFn diag_solve = nullptr;
 };
 
 namespace detail {

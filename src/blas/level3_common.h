@@ -403,6 +403,17 @@ void run_macro_loop(std::size_t p, const kernels::KernelSet<T>& ks,
                     tile_op);
 }
 
+/// GEMM past its prologue: C = alpha * op(A) * op(B) + beta * C on the
+/// macro loop at a resolved thread count and blocking, for a non-degenerate
+/// call (m, n, k > 0, alpha != 0). gemm() runs it after resolving p and g;
+/// TRSM runs it at p = 1 for the trailing update of each diagonal block.
+/// Defined in gemm.cpp.
+template <typename T>
+void gemm_macro_loop(std::size_t p, const kernels::KernelSet<T>& ks,
+                     const BlockGeom& g, Trans trans_a, Trans trans_b, int m,
+                     int n, int k, T alpha, const T* a, int lda, const T* b,
+                     int ldb, T beta, T* c, int ldc);
+
 /// Serial `row *= factor` over rows [row_lo, row_hi) of an ncols-wide
 /// row-major block: factor == 1 is a no-op, factor == 0 stores zeros
 /// outright so NaNs are flushed. THE row-scaling core — the ops' in-region
@@ -425,8 +436,8 @@ void scale_rows_range(T* c, long ldc, int row_lo, int row_hi, int ncols,
 
 /// Parallel `row *= factor` pass over an nrows x ncols row-major block.
 /// This is the whole of a degenerate level-3 call: GEMM/SYMM with k == 0 or
-/// alpha == 0 reduce to C *= beta, TRMM with alpha == 0 to B = 0, and
-/// TRSM's up-front right-hand-side scaling to B *= alpha.
+/// alpha == 0 reduce to C *= beta, and TRMM and TRSM with alpha == 0 to
+/// B = 0.
 template <typename T>
 void scale_rows_pass(std::size_t p, int nrows, int ncols, T factor, T* c,
                      long ldc) {

@@ -8,14 +8,17 @@
 // names the stored triangle, `diag` an implicit unit diagonal), and B an
 // n x m right-hand-side block. Row-major; ld* is the row stride.
 //
-// The implementation is a blocked substitution: small nb x nb diagonal
-// triangles are solved in place, and the trailing right-hand-side rows are
-// updated with a rank-nb GEMM on the packed micro-kernel path — so the bulk
-// of the FLOPs run through the same runtime-dispatched KernelSet as GEMM,
-// and the thread-count knob shapes the same packing/sync trade-offs the ML
-// model learns. The diagonal solves themselves are inherently sequential
-// (each block depends on every block before it), which is exactly why the
-// TRSM optimum sits at fewer threads than the equivalent GEMM.
+// The implementation is a blocked substitution: each nb x nb diagonal
+// triangle is solved in place by the dispatched KernelSet's diag_solve
+// (register-blocked on the AVX2 and AVX-512 tiers), and its solution is
+// folded into every row still to be solved with a rank-nb update on the
+// packed micro-kernel path, so the bulk of the FLOPs run through the same
+// kernels as GEMM. The blocks depend on each other, but the right-hand-side
+// columns do not: a call opens one parallel region and splits B's columns
+// into NR-aligned slices, one per column group, each solved independently.
+// A right-hand side too narrow for p even slices also gets row helpers,
+// which share each block's trailing update and meet at one barrier per
+// block. Results are bit-identical at every thread count.
 #pragma once
 
 #include "blas/gemm.h"
@@ -23,9 +26,10 @@
 namespace adsala::blas {
 
 /// Multi-threaded blocked left-side triangular solve, in place over B.
-/// nthreads <= 0 selects the pool maximum (threading lives in the GEMM
-/// updates). A singular (zero) diagonal produces inf/nan like standard BLAS;
-/// no singularity check is performed.
+/// nthreads <= 0 selects the pool maximum. The threads split B's columns
+/// (and, for a narrow B, each column slice's trailing updates) inside one
+/// parallel region; p = 1 opens none. A singular (zero) diagonal produces
+/// inf/nan like standard BLAS; no singularity check is performed.
 template <typename T>
 void trsm(Uplo uplo, Trans trans, Diag diag, int n, int m, T alpha,
           const T* a, int lda, T* b, int ldb, int nthreads = 0,

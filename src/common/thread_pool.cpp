@@ -127,6 +127,7 @@ void ThreadPool::parallel_region(
     return;
   }
   t_in_region = true;
+  regions_forked_.fetch_add(1, std::memory_order_relaxed);
   {
     // Job fields and the generation bump are published together under the
     // mutex: spinners only key off the atomic counter and then take the lock

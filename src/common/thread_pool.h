@@ -25,6 +25,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -58,6 +59,13 @@ class ThreadPool {
   void parallel_for(std::size_t nthreads, std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& fn);
 
+  /// Regions that forked onto workers so far (serial and nested regions
+  /// run inline and are not counted): one relaxed add per fork, read by
+  /// tests that pin how many regions an op opens.
+  std::uint64_t regions_forked() const {
+    return regions_forked_.load(std::memory_order_relaxed);
+  }
+
   /// True while the calling thread is executing inside a parallel region
   /// (a nested parallel_region request would degrade to serial).
   static bool in_region();
@@ -86,6 +94,7 @@ class ThreadPool {
   std::atomic<std::size_t> generation_{0};
   std::atomic<std::size_t> remaining_{0};  // workers yet to finish the region
   std::atomic<bool> stop_{false};
+  std::atomic<std::uint64_t> regions_forked_{0};
   /// First exception thrown by any participant of the current region;
   /// guarded by mutex_, cleared at region start, rethrown by the caller
   /// after the join.

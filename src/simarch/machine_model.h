@@ -151,6 +151,9 @@ class MachineModel {
   /// sequential dependency chain: their work runs at single-thread rate no
   /// matter the team size, and the chain inserts an extra barrier sweep per
   /// panel (sync doubles). Both push the TRSM optimum below the GEMM one.
+  /// This models the schedule blas::trsm had before it split the columns
+  /// across one region; it stays because the tracked simulated baselines
+  /// depend on it.
   TimingBreakdown time_trsm(const GemmShape& shape,
                             const ExecPolicy& policy) const;
 

@@ -6,6 +6,9 @@
 // adversarial shapes a static row split handles worst — tall-skinny, wide,
 // fewer row tiles than threads, and a k < kc single-panel degenerate — for
 // bit-identity across thread counts, and from inside a parallel region.
+// TRSM's one region (column groups, and row helpers meeting at a barrier
+// per diagonal block) gets the same bit-identity and nested-call checks,
+// plus a count of the regions it opens.
 //
 // The global pool is forced to 4 threads via ADSALA_THREADS before its
 // first use (the static initializer below runs pre-main): on a small CI
@@ -25,10 +28,12 @@
 #include <vector>
 
 #include "blas/gemm.h"
+#include "blas/kernels/dispatch.h"
 #include "blas/pack_pipeline.h"
 #include "blas/symm.h"
 #include "blas/syrk.h"
 #include "blas/trmm.h"
+#include "blas/trsm.h"
 #include "common/pack_arena.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -253,6 +258,53 @@ void expect_bit_identical_across_threads(const std::string& what, Run run) {
   }
 }
 
+/// A triangle whose solves stay bounded for either diagonal: off-diagonal
+/// entries of order 1/n, diagonal 1.5.
+template <typename T>
+std::vector<T> solvable_triangle(int n, std::uint64_t seed) {
+  auto a = random_matrix<T>(n, n, seed);
+  for (auto& v : a) v /= T(n);
+  for (int i = 0; i < n; ++i) a[static_cast<std::size_t>(i) * n + i] = T(1.5);
+  return a;
+}
+
+/// TRSM at every kernel tier, all 8 uplo x trans x diag cases, with ragged
+/// n (three diagonal blocks, off every MR grid) and three right-hand-side
+/// widths: m = 203 splits into multi-panel column groups, m = 37 has fewer
+/// NR panels than threads on the 16- and 32-wide tiles, and m = 7 is one
+/// panel on every tile, so its spare threads are row helpers.
+template <typename T>
+void expect_trsm_bit_identical() {
+  const int n = 259;
+  const auto a = solvable_triangle<T>(n, 35);
+  for (const auto variant : kernels::supported_variants()) {
+    GemmTuning tuning;
+    tuning.variant = variant;
+    for (const int m : {203, 37, 7}) {
+      const auto b0 = random_matrix<T>(n, m, 36);
+      for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+        for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+          for (const Diag diag : {Diag::kNonUnit, Diag::kUnit}) {
+            expect_bit_identical_across_threads(
+                std::string("trsm ") + kernels::variant_name(variant) +
+                    (sizeof(T) == 4 ? " fp32" : " fp64") +
+                    " m=" + std::to_string(m) +
+                    " uplo=" + std::to_string(static_cast<int>(uplo)) +
+                    " trans=" + std::to_string(static_cast<int>(trans)) +
+                    " diag=" + std::to_string(static_cast<int>(diag)),
+                [&](int nthreads) {
+                  auto b = b0;
+                  trsm<T>(uplo, trans, diag, n, m, T(1.5), a.data(), n,
+                          b.data(), m, nthreads, tuning);
+                  return b;
+                });
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(RaggedShapes, ResultsBitIdenticalAcrossThreadCountsAndRuns) {
   // The steal deck reorders which THREAD computes a tile, never the
   // per-element arithmetic: every (thread count, run) pair must agree bit
@@ -328,6 +380,38 @@ TEST(RaggedShapes, ResultsBitIdenticalAcrossThreadCountsAndRuns) {
       }
     }
   }
+  expect_trsm_bit_identical<float>();
+  expect_trsm_bit_identical<double>();
+}
+
+TEST(TrsmRegions, OneRegionAboveOneThreadNoneAtOne) {
+  // The alpha scaling, every diagonal solve and every trailing update run
+  // inside one region; at p = 1 the call runs on the caller. A call with
+  // nothing to split (one NR panel, one diagonal block) runs there too.
+  ThreadPool& pool = ThreadPool::global();
+  ASSERT_GE(pool.max_threads(), 2u);
+  const int n = 300;
+  const auto a = solvable_triangle<float>(n, 37);
+  for (const int m : {203, 7}) {
+    const auto b0 = random_matrix<float>(n, m, 38);
+    for (const float alpha : {1.0f, -0.75f}) {
+      for (const int nthreads : {1, 2, 4}) {
+        auto b = b0;
+        const std::uint64_t before = pool.regions_forked();
+        trsm<float>(Uplo::kLower, Trans::kNo, Diag::kNonUnit, n, m, alpha,
+                    a.data(), n, b.data(), m, nthreads);
+        const std::uint64_t expected =
+            nthreads > 1 && pool.max_threads() > 1 ? 1 : 0;
+        EXPECT_EQ(pool.regions_forked() - before, expected)
+            << "m=" << m << " alpha=" << alpha << " nthreads=" << nthreads;
+      }
+    }
+  }
+  auto narrow = random_matrix<float>(16, 1, 39);
+  const std::uint64_t before = pool.regions_forked();
+  trsm<float>(Uplo::kUpper, Trans::kYes, Diag::kUnit, 16, 1, 2.0f, a.data(),
+              n, narrow.data(), 1, 4);
+  EXPECT_EQ(pool.regions_forked(), before);
 }
 
 TEST(RaggedShapes, PipelineCountersMatchSchedule) {
@@ -440,17 +524,45 @@ TEST(RaggedShapes, TrmmMatchesReference) {
   }
 }
 
+TEST(RaggedShapes, TrsmMatchesReference) {
+  // Tall-narrow (row helpers), wide (column groups only) and in between,
+  // at the pool maximum.
+  for (const auto [n, m] : {std::pair{517, 7}, std::pair{131, 257},
+                            std::pair{259, 37}}) {
+    const auto a = solvable_triangle<float>(n, 53);
+    for (const Uplo uplo : {Uplo::kLower, Uplo::kUpper}) {
+      for (const Trans trans : {Trans::kNo, Trans::kYes}) {
+        for (const Diag diag : {Diag::kNonUnit, Diag::kUnit}) {
+          auto b = random_matrix<float>(n, m, 54);
+          auto b_ref = b;
+          trsm<float>(uplo, trans, diag, n, m, -1.25f, a.data(), n, b.data(),
+                      m, 0);
+          reference_trsm<float>(uplo, trans, diag, n, m, -1.25f, a.data(), n,
+                                b_ref.data(), m);
+          for (long i = 0; i < static_cast<long>(n) * m; ++i) {
+            ASSERT_NEAR(b[i], b_ref[i], 1e-4)
+                << "n=" << n << " m=" << m << " uplo=" << int(uplo)
+                << " trans=" << int(trans) << " diag=" << int(diag)
+                << " i=" << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 // ------------------------------------------ calls from inside a region --
 
 TEST(NestedRegion, ParticipantsRunPrivateOneThreadCalls) {
   // An op called from inside a parallel region resolves to one thread and
-  // carves its scratch (packed panels, TRMM's dense copy) from the calling
-  // thread's slab, never the arena's one shared slab: concurrent degraded
-  // calls on the shared slab would alias each other's panels. Each
-  // participant runs every macro-loop op on its own operands, with shapes
-  // differing per participant, repeatedly and after a start line so the
-  // calls overlap, and checks each result against the reference. Worker
-  // threads only record mismatches; the asserts run after the join.
+  // carves its scratch (packed panels, TRMM's dense copy, TRSM's trailing
+  // updates) from the calling thread's slab, never the arena's one shared
+  // slab: concurrent degraded calls on the shared slab would alias each
+  // other's panels. Each participant runs every level-3 op on its own
+  // operands, with shapes differing per participant, repeatedly and after a
+  // start line so the calls overlap, and checks each result against the
+  // reference. Worker threads only record mismatches; the asserts run after
+  // the join.
   constexpr std::size_t kParticipants = 4;
   constexpr int kReps = 10;
   std::vector<std::string> failures(kParticipants);
@@ -500,6 +612,14 @@ TEST(NestedRegion, ParticipantsRunPrivateOneThreadCalls) {
         }});
         reference_trmm<float>(Uplo::kLower, Trans::kYes, Diag::kNonUnit, n, m,
                               1.5f, a.data(), lda, cases.back().want.data(),
+                              ldc);
+        const auto tri = solvable_triangle<float>(n, seed + 3);
+        cases.push_back({"trsm", c0, [&](float* c) {
+          trsm<float>(Uplo::kUpper, Trans::kNo, Diag::kNonUnit, n, m, 1.5f,
+                      tri.data(), n, c, ldc, 4);
+        }});
+        reference_trsm<float>(Uplo::kUpper, Trans::kNo, Diag::kNonUnit, n, m,
+                              1.5f, tri.data(), n, cases.back().want.data(),
                               ldc);
 
         arrived.fetch_add(1, std::memory_order_acq_rel);
