@@ -1,55 +1,44 @@
-// Serving-path latency proof for the snapshot refactor (ISSUE 7), the
-// serve-time telemetry sampler (ISSUE 8), and the resilient client
-// (ISSUE 10).
+// Serving-path latency of the in-process decision route, and the
+// serve-time sampler's overhead budget as a real check.
 //
-// Five in-process regimes over one trained runtime:
-//   repeat  : the same shape every call      -> memo hit        (was: hit)
+// Five regimes over one trained runtime:
+//   repeat  : the same shape every call      -> memo hit
 //   gated   : repeat + the sampling gate with sampling OFF -> memo hit +
 //             one thread-local countdown decrement per call
 //   sampled : the same gated loop with 1-in-1024 sampling ON; 1 call in
 //             1024 also pays the (buffered) log append
-//   pingpong: two shapes alternating         -> memo hit        (was: MISS —
-//             the old single-entry memo thrashed on any alternation)
+//   pingpong: two shapes alternating         -> memo hit (two memo slots)
 //   stream  : a fresh shape every call       -> memo miss, full model argmin
 //
-// Three daemon-transport regimes against a real in-process serve() loop on
-// a Unix socket:
-//   raw_daemon_query       : daemon::query per call (connect + frame + ack)
-//   resilient_daemon_query : the same round-trip through ResilientClient's
-//                            happy path — the retry/breaker wrapper's
-//                            overhead on a healthy daemon
-//   resilient_breaker_open : the daemon unreachable and the circuit open —
-//                            every answer served by the in-process fallback
-//                            runtime (the price of degraded-but-answering)
-//
-// The acceptance bars are that `repeat` stays in the same ballpark as the
-// old memoised path (tens of nanoseconds: one atomic pointer load + one
-// atomic word probe), `pingpong` matches `repeat` instead of `stream`,
-// `sampled` regresses `gated` by < 5% — the cost of turning sampling on
-// through the identical gate-compiled-in loop, the sampler's overhead
-// budget (ISSUE 8 acceptance), recorded in the BENCH json as
-// sampling_overhead_pct — and `resilient_daemon_query` stays in the same
-// ballpark as `raw_daemon_query` (resilient_overhead_pct): the socket
-// round-trip, not the wrapper, must dominate (the wrapper's own work is a
-// branch and a counter; the delta is mostly run-to-run socket noise).
-#include <atomic>
+// The acceptance bars are that `repeat` stays in the tens of nanoseconds
+// (one atomic pointer load + one atomic word probe), `pingpong` matches
+// `repeat` instead of `stream`, and turning sampling on costs < 5 % of the
+// gated loop. That last one is checked, not just printed: a single
+// gated/sampled pair at ~10 ns per call swings by tens of percent either
+// way on a shared host, so the overhead is the median of paired rounds,
+// alternating which regime runs first, reported with its IQR:
+//   median < 5 %           -> pass
+//   whole IQR above 5 %    -> fail (exit 1)
+//   otherwise              -> "unresolvable at this noise" (exit 0)
+// `sampling_overhead_pct` and its quartiles go into the BENCH json.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <thread>
+#include <vector>
 
-#include "adsala_daemon.h"
 #include "bench_util.h"
+#include "common/stats.h"
 #include "core/adsala.h"
 #include "core/executor.h"
 #include "core/gather.h"
-#include "core/resilient_client.h"
 #include "core/telemetry_log.h"
 #include "core/trainer.h"
 
 using namespace adsala;
 
 namespace {
+
+constexpr double kSamplingBudgetPct = 5.0;
 
 core::AdsalaGemm make_runtime() {
   core::SimulatedExecutor ex(
@@ -67,25 +56,27 @@ core::AdsalaGemm make_runtime() {
       core::train_and_select(core::gather_timings(ex, cfg), opts));
 }
 
+long g_sink = 0;  // keeps the timed loops observable
+
+/// Wall-clock ns per call of one pass of `iters` calls.
+template <typename Fn>
+double one_pass_ns(Fn&& fn, long iters) {
+  const auto t0 = std::chrono::steady_clock::now();
+  for (long i = 0; i < iters; ++i) g_sink += fn(i);
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double, std::nano>(t1 - t0).count() /
+         static_cast<double>(iters);
+}
+
 template <typename Fn>
 double ns_per_call(Fn&& fn, long iters) {
-  // Best-of-3: at single-digit-ns per call, one scheduler hiccup mid-pass
-  // skews a mean by more than the sampler overhead we are trying to
-  // resolve; noise only ever adds time, so the min is the estimator.
-  // The first pass doubles as warm-up (populates the memo), so steady-state
-  // regimes measure steady state.
-  long sink = 0;
+  // Best-of-3: noise only ever adds time, so the min is the estimator. The
+  // first pass doubles as warm-up (populates the memo).
   double best = 0.0;
   for (int pass = 0; pass < 3; ++pass) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (long i = 0; i < iters; ++i) sink += fn(i);
-    const auto t1 = std::chrono::steady_clock::now();
-    const double ns =
-        std::chrono::duration<double, std::nano>(t1 - t0).count() /
-        static_cast<double>(iters);
+    const double ns = one_pass_ns(fn, iters);
     if (pass == 0 || ns < best) best = ns;
   }
-  if (sink == 42) std::printf("");  // keep the loop observable
   return best;
 }
 
@@ -102,12 +93,10 @@ int main() {
   // that the gate picks (the measured-ns value is a placeholder — the point
   // is the gate + amortised append cost, not the GEMM underneath).
   //
-  // The overhead comparison runs ONE lambda — select + gate + conditional
-  // record — twice, with sampling off and then on. The BLAS execution
-  // wrappers compile the gate in unconditionally, so "what does enabling
-  // sampling cost" is off-vs-on through identical machine code; comparing
-  // against the gate-free `repeat` loop instead would mostly measure the
-  // extra call and branch in the loop body, not the sampler.
+  // Both regimes run ONE lambda — select + gate + conditional record —
+  // with sampling off and then on. The BLAS execution wrappers compile the
+  // gate in unconditionally, so "what does enabling sampling cost" is
+  // off-vs-on through identical machine code.
   auto gated = [&](long) {
     const int p = runtime.select_threads(512, 512, 512);
     if (runtime.sample_tick()) {
@@ -115,24 +104,46 @@ int main() {
     }
     return p;
   };
-  const double repeat_gated = ns_per_call(gated, 2000000);
 
   const std::string log_path = "bench_serve_latency_telemetry.bin";
   std::filesystem::remove(log_path);
-  double repeat_sampled = 0.0;
-  {
-    auto log = core::TelemetryLog::open(log_path);
-    if (!log.ok()) {
-      std::fprintf(stderr, "telemetry log open failed: %s\n",
-                   log.error().message.c_str());
-      return 1;
-    }
-    runtime.enable_sampling(
-        std::make_shared<core::TelemetryLog>(std::move(log).value()), 1024);
-    repeat_sampled = ns_per_call(gated, 2000000);
-    runtime.disable_sampling();
+  auto opened = core::TelemetryLog::open(log_path);
+  if (!opened.ok()) {
+    std::fprintf(stderr, "telemetry log open failed: %s\n",
+                 opened.error().message.c_str());
+    return 1;
   }
+  auto log = std::make_shared<core::TelemetryLog>(std::move(opened).value());
+
+  constexpr int kRounds = 41;
+  constexpr long kRoundIters = 200000;
+  (void)one_pass_ns(gated, kRoundIters);  // warm-up
+  std::vector<double> gated_ns, sampled_ns, overhead_pct;
+  for (int round = 0; round < kRounds; ++round) {
+    double off = 0.0, on = 0.0;
+    auto run_on = [&] {
+      runtime.enable_sampling(log, 1024);
+      on = one_pass_ns(gated, kRoundIters);
+      runtime.disable_sampling();
+    };
+    if (round % 2 == 0) {
+      off = one_pass_ns(gated, kRoundIters);
+      run_on();
+    } else {
+      run_on();
+      off = one_pass_ns(gated, kRoundIters);
+    }
+    gated_ns.push_back(off);
+    sampled_ns.push_back(on);
+    overhead_pct.push_back((on - off) / off * 100.0);
+  }
+  log.reset();
   std::filesystem::remove(log_path);
+  const double overhead_p25 = percentile(overhead_pct, 25.0);
+  const double overhead_p50 = percentile(overhead_pct, 50.0);
+  const double overhead_p75 = percentile(overhead_pct, 75.0);
+  const double repeat_gated = percentile(gated_ns, 50.0);
+  const double repeat_sampled = percentile(sampled_ns, 50.0);
 
   const double pingpong = ns_per_call(
       [&](long i) {
@@ -150,87 +161,14 @@ int main() {
       },
       50000);
 
-  const double overhead_pct =
-      (repeat_sampled - repeat_gated) / repeat_gated * 100.0;
-
-  // ---- daemon transport regimes (ISSUE 10) --------------------------------
-  const std::string socket_path = "/tmp/adsala_bench_serve.sock";
-  std::filesystem::remove(socket_path);
-  std::atomic<bool> stop{false};
-  daemon::ServeOptions sopts;
-  sopts.socket_path = socket_path;
-  sopts.handle_signals = false;  // in-process server: leave signals alone
-  sopts.stop = &stop;
-  std::thread server([&] { (void)daemon::serve(runtime, sopts); });
-  for (int i = 0; i < 500 && !std::filesystem::exists(socket_path); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  const char* verdict = "unresolvable at this noise";
+  int exit_code = 0;
+  if (overhead_p50 < kSamplingBudgetPct) {
+    verdict = "pass";
+  } else if (overhead_p25 > kSamplingBudgetPct) {
+    verdict = "FAIL";
+    exit_code = 1;
   }
-
-  daemon::Request req;
-  req.op_code = static_cast<std::uint8_t>(blas::OpKind::kGemm);
-  req.elem_bytes = 4;
-  req.x = req.y = req.z = 512;
-  const double raw_daemon = ns_per_call(
-      [&](long) {
-        auto ack = daemon::query(socket_path, req, 2000);
-        return ack.ok() ? static_cast<long>(ack.value().threads) : -1L;
-      },
-      2000);
-
-  auto transport =
-      [&](const core::ServeQuery& q) -> Expected<core::ServeAnswer> {
-    daemon::Request r;
-    r.op_code = static_cast<std::uint8_t>(q.op);
-    r.elem_bytes = static_cast<std::uint8_t>(q.elem_bytes);
-    r.x = q.x;
-    r.y = q.y;
-    r.z = q.z;
-    auto ack = daemon::query(socket_path, r, 2000);
-    if (!ack.ok()) return ack.error();
-    if (ack.value().status != ErrorCode::kOk) {
-      return Error{ack.value().status, "daemon rejected the request"};
-    }
-    core::ServeAnswer a;
-    a.threads = static_cast<int>(ack.value().threads);
-    a.mode = ack.value().mode;
-    return a;
-  };
-  core::ServeQuery sq;
-  sq.x = sq.y = sq.z = 512;
-  core::ResilientClient resilient(transport, {});
-  const double resilient_daemon = ns_per_call(
-      [&](long) {
-        auto a = resilient.query(sq);
-        return a.ok() ? static_cast<long>(a.value().threads) : -1L;
-      },
-      2000);
-
-  // Breaker-open regime: the transport refuses instantly, the first query
-  // trips the (threshold 1) breaker, and every timed call after warm-up is
-  // pure in-process fallback serving under an open circuit.
-  core::ResilientClient::Options broken_opts;
-  broken_opts.max_attempts = 1;
-  broken_opts.breaker_threshold = 1;
-  broken_opts.breaker_open_ms = 3600 * 1000;
-  core::ResilientClient broken(
-      [](const core::ServeQuery&) -> Expected<core::ServeAnswer> {
-        return Error{ErrorCode::kUnavailable, "daemon down"};
-      },
-      broken_opts);
-  const double breaker_open = ns_per_call(
-      [&](long) {
-        auto a = broken.query(sq);
-        return a.ok() ? static_cast<long>(a.value().threads) : -1L;
-      },
-      200000);
-
-  stop.store(true, std::memory_order_release);
-  (void)daemon::query(socket_path, req, 500);  // wake the accept loop
-  server.join();
-  std::filesystem::remove(socket_path);
-
-  const double resilient_overhead_pct =
-      (resilient_daemon - raw_daemon) / raw_daemon * 100.0;
 
   std::printf("serve latency (ns/query), model=%s platform=%s\n",
               runtime.model_name().c_str(), runtime.platform().c_str());
@@ -239,20 +177,21 @@ int main() {
   std::printf("  %-28s %10.1f\n", "repeat + 1/1024 sampling", repeat_sampled);
   std::printf("  %-28s %10.1f\n", "pingpong (memo hit, 2 keys)", pingpong);
   std::printf("  %-28s %10.1f\n", "stream (memo miss, argmin)", stream);
-  std::printf("  %-28s %10.1f\n", "raw daemon query", raw_daemon);
-  std::printf("  %-28s %10.1f\n", "resilient daemon query", resilient_daemon);
-  std::printf("  %-28s %10.1f\n", "resilient, breaker open", breaker_open);
   std::printf("  hit/miss ratio: %.1fx\n", stream / repeat);
-  std::printf("  sampling overhead: %+.2f%% (budget < 5%%)\n", overhead_pct);
-  std::printf("  resilient-client overhead on healthy daemon: %+.2f%%\n",
-              resilient_overhead_pct);
+  std::printf("  sampling overhead: median %+.2f%%, IQR [%+.2f%%, %+.2f%%] "
+              "over %d paired rounds (budget < %.0f%%): %s\n",
+              overhead_p50, overhead_p25, overhead_p75, kRounds,
+              kSamplingBudgetPct, verdict);
 
   bench::BenchJson json("serve_latency");
   json.meta("platform", Json(runtime.platform()));
   json.meta("model", Json(runtime.model_name()));
   json.meta("sampling_period", Json(1024));
-  json.meta("sampling_overhead_pct", Json(overhead_pct));
-  json.meta("resilient_overhead_pct", Json(resilient_overhead_pct));
+  json.meta("sampling_rounds", Json(kRounds));
+  json.meta("sampling_overhead_pct", Json(overhead_p50));
+  json.meta("sampling_overhead_p25_pct", Json(overhead_p25));
+  json.meta("sampling_overhead_p75_pct", Json(overhead_p75));
+  json.meta("sampling_verdict", Json(verdict));
   auto row = [&](const char* regime, double ns) {
     JsonObject r;
     r["regime"] = Json(regime);
@@ -264,8 +203,6 @@ int main() {
   row("repeat_sampled", repeat_sampled);
   row("pingpong", pingpong);
   row("stream", stream);
-  row("raw_daemon_query", raw_daemon);
-  row("resilient_daemon_query", resilient_daemon);
-  row("resilient_breaker_open", breaker_open);
-  return 0;
+  if (g_sink == 42) std::printf("\n");
+  return exit_code;
 }

@@ -23,6 +23,8 @@ namespace adsala {
 /// Failure classes, ordered roughly by "how broken is the installation".
 /// The CLI maps these 1:1 onto process exit codes (see exit_code_for), so
 /// renumbering is an interface break for anything scripting adsala_cli.
+/// Exit code 8 is retired (it meant a malformed frame on a socket protocol
+/// that no longer exists) and is never reused.
 enum class ErrorCode {
   kOk = 0,
   kNotFound,            ///< artefact/file missing or unreadable (I/O level)
@@ -32,9 +34,7 @@ enum class ErrorCode {
   kResourceExhausted,   ///< allocation failure (arena growth, buffers)
   kInternal,            ///< invariant violation; a bug, not an input problem
   kUnavailable,         ///< resource temporarily unusable: shm region caught
-                        ///< mid-swap, tuning daemon not reachable — retry later
-  kProtocolError,       ///< malformed daemon frame: truncated request, wrong
-                        ///< protocol version byte, unknown op code
+                        ///< mid-swap or its region lock held — retry later
   kPreconditionFailed,  ///< valid inputs, but the operation's precondition
                         ///< does not hold: rollback target not retained,
                         ///< too little telemetry to retrain on
@@ -51,7 +51,6 @@ inline const char* error_code_name(ErrorCode code) {
     case ErrorCode::kResourceExhausted: return "resource_exhausted";
     case ErrorCode::kInternal: return "internal";
     case ErrorCode::kUnavailable: return "unavailable";
-    case ErrorCode::kProtocolError: return "protocol_error";
     case ErrorCode::kPreconditionFailed: return "precondition_failed";
   }
   return "internal";
@@ -59,7 +58,8 @@ inline const char* error_code_name(ErrorCode code) {
 
 /// Process exit code for a failure class: 0 ok, 1 internal, 2 is reserved
 /// for CLI usage errors, then one code per external-failure class so a
-/// supervising daemon's health checks can branch without parsing stderr.
+/// supervisor's health checks can branch without parsing stderr. 8 is
+/// retired and never reused.
 inline int exit_code_for(ErrorCode code) {
   switch (code) {
     case ErrorCode::kOk: return 0;
@@ -69,7 +69,6 @@ inline int exit_code_for(ErrorCode code) {
     case ErrorCode::kResourceExhausted: return 6;
     case ErrorCode::kInternal: return 1;
     case ErrorCode::kUnavailable: return 7;
-    case ErrorCode::kProtocolError: return 8;
     case ErrorCode::kPreconditionFailed: return 9;
   }
   return 1;

@@ -14,8 +14,9 @@
 // threads. install() hot-swaps a new generation in (version bump); queries
 // already in flight finish on the old snapshot, which stays alive for the
 // runtime's lifetime. This is the serve side of the tuning-as-a-service
-// design — the same runtime object backs the `adsala_cli serve` daemon and
-// any in-process caller concurrently.
+// design: callers load artefacts from a directory store or attach a
+// published shared-memory region, and every decision is answered
+// in-process.
 //
 // Queries are rows of the one op-aware feature schema
 // (preprocess/features.h); artefacts fitted on any other columns are
@@ -83,7 +84,7 @@ struct TelemetrySampler {
 class AdsalaGemm {
  public:
   /// One answer with the generation that produced it, so callers (the
-  /// daemon, the concurrency tests) can report a rung that is guaranteed
+  /// concurrency tests, the benchmark) can report a rung that is guaranteed
   /// consistent with the thread count — both come from one snapshot read.
   struct Decision {
     int threads = 0;

@@ -39,10 +39,10 @@ struct Mapping {
   }
 };
 
-struct LockedFd {
+struct OwnedFd {
   int fd = -1;
-  ~LockedFd() {
-    if (fd >= 0) ::close(fd);  // close releases the flock
+  ~OwnedFd() {
+    if (fd >= 0) ::close(fd);  // close also releases a held flock
   }
 };
 
@@ -63,12 +63,17 @@ Extent active_extent(const ShmHeader& h) {
   return e;
 }
 
+/// [off, off + len) lies past the header and inside `size` bytes. Written
+/// so that no sum can wrap: the descriptors come from a file.
+bool extent_inside(std::uint64_t off, std::uint64_t len, std::uint64_t size) {
+  return off >= kShmHeaderBytes && off <= size && len <= size - off;
+}
+
 bool descriptors_sane(std::uint64_t model_off, std::uint64_t model_len,
                       std::uint64_t config_off, std::uint64_t config_len,
                       std::uint64_t mapped_bytes) {
-  return model_off >= kShmHeaderBytes && config_off >= kShmHeaderBytes &&
-         model_off + model_len <= mapped_bytes &&
-         config_off + config_len <= mapped_bytes;
+  return extent_inside(model_off, model_len, mapped_bytes) &&
+         extent_inside(config_off, config_len, mapped_bytes);
 }
 
 }  // namespace
@@ -116,7 +121,7 @@ bool writer_alive(pid_t pid, std::uint64_t nonce) {
 Error publish_shm_region(const std::string& path,
                          const std::string& model_json,
                          const std::string& config_json) {
-  LockedFd region;
+  OwnedFd region;
   region.fd = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
   if (region.fd < 0) return io_error(path, "cannot open shm region");
   // Writers (publishers and healers) are serialised by an exclusive flock
@@ -234,7 +239,7 @@ Error publish_shm_region(const std::string& path,
 }
 
 Error heal_shm_region(const std::string& path) {
-  LockedFd region;
+  OwnedFd region;
   region.fd = ::open(path.c_str(), O_RDWR);
   if (region.fd < 0) {
     return Error{ErrorCode::kNotFound, path + ": no shm region to heal"};
@@ -291,43 +296,48 @@ Error heal_shm_region(const std::string& path) {
 
 namespace {
 
-Expected<ShmArtefacts> read_shm_region_impl(const std::string& path,
-                                            bool allow_heal) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Error{ErrorCode::kNotFound, path + ": no shm region"};
-  }
+/// Maps the whole file read-only at its current size, replacing whatever
+/// `map` held before.
+Error map_whole_region(int fd, const std::string& path, Mapping* map) {
   struct stat st{};
-  if (::fstat(fd, &st) != 0) {
-    const Error err = io_error(path, "cannot stat shm region");
-    ::close(fd);
-    return err;
-  }
-  const auto mapped_bytes = static_cast<std::size_t>(st.st_size);
-  if (mapped_bytes < kShmHeaderBytes) {
-    ::close(fd);
+  if (::fstat(fd, &st) != 0) return io_error(path, "cannot stat shm region");
+  const auto bytes = static_cast<std::size_t>(st.st_size);
+  if (bytes < kShmHeaderBytes) {
     return Error{ErrorCode::kParseError,
                  path + ": region smaller than its header (torn create?)"};
   }
-  Mapping map;
-  map.bytes = mapped_bytes;
-  map.addr = ::mmap(nullptr, mapped_bytes, PROT_READ, MAP_SHARED, fd, 0);
-  ::close(fd);
-  if (map.addr == MAP_FAILED) return io_error(path, "cannot map shm region");
+  if (map->addr != MAP_FAILED) ::munmap(map->addr, map->bytes);
+  map->bytes = bytes;
+  map->addr = ::mmap(nullptr, bytes, PROT_READ, MAP_SHARED, fd, 0);
+  if (map->addr == MAP_FAILED) return io_error(path, "cannot map shm region");
+  return Error{};
+}
 
-  auto* header = static_cast<ShmHeader*>(map.addr);
+Expected<ShmArtefacts> read_shm_region_impl(const std::string& path,
+                                            bool allow_heal) {
+  OwnedFd region;
+  region.fd = ::open(path.c_str(), O_RDONLY);
+  if (region.fd < 0) {
+    return Error{ErrorCode::kNotFound, path + ": no shm region"};
+  }
+  Mapping map;
+  if (Error err = map_whole_region(region.fd, path, &map); !err.ok()) {
+    return err;
+  }
   // The magic (and the format version in its low byte) never changes after
   // creation, so it is checked outside the generation loop.
-  if (header->magic != kShmMagic) {
+  if (static_cast<const ShmHeader*>(map.addr)->magic != kShmMagic) {
     return Error{ErrorCode::kValidationError,
                  path + ": bad shm magic (not an ADSALA region, or an "
                         "incompatible format version)"};
   }
-
-  const auto* bytes = static_cast<const std::uint8_t*>(map.addr);
   // atomic_ref wants a mutable lvalue even for pure loads; the mapping is
-  // PROT_READ, and only load() is ever called through this view.
-  auto generation = generation_ref(header);
+  // PROT_READ, and only load() is ever called through this view. The
+  // header is re-derived on every use because a remap moves it.
+  auto header = [&map] { return static_cast<ShmHeader*>(map.addr); };
+  auto generation = [&header] {
+    return generation_ref(header()).load(std::memory_order_acquire);
+  };
 
   // The outer rounds absorb benign races with OTHER processes repairing the
   // region under our feet: a rival reader can heal a dead writer's region
@@ -337,28 +347,40 @@ Expected<ShmArtefacts> read_shm_region_impl(const std::string& path,
   // reader would report a transient error for a region that is fine.
   for (int round = 0; round < 4; ++round) {
     for (int attempt = 0; attempt < 64; ++attempt) {
-      std::uint64_t g1 = generation.load(std::memory_order_acquire);
+      std::uint64_t g1 = generation();
       if (failpoint::triggered("shm-mid-swap")) g1 |= 1;  // forced mid-swap
       if (g1 & 1) {
         ::sched_yield();
         continue;
       }
-      const std::uint64_t model_off = header->model_offset;
-      const std::uint64_t model_len = header->model_bytes;
-      const std::uint64_t config_off = header->config_offset;
-      const std::uint64_t config_len = header->config_bytes;
+      const std::uint64_t model_off = header()->model_offset;
+      const std::uint64_t model_len = header()->model_bytes;
+      const std::uint64_t config_off = header()->config_offset;
+      const std::uint64_t config_len = header()->config_bytes;
       if (!descriptors_sane(model_off, model_len, config_off, config_len,
-                            mapped_bytes)) {
+                            map.bytes)) {
+        // Out-of-bounds descriptors are damage only when they belong to
+        // the generation read above and lie past the file as it is NOW. A
+        // publisher may have started since (it flips the descriptors while
+        // the generation is odd), or committed a payload into space it
+        // grew the file by after this mapping was made.
+        if (generation() != g1) continue;  // torn read: retry
+        const std::size_t mapped_bytes = map.bytes;
+        if (Error err = map_whole_region(region.fd, path, &map); !err.ok()) {
+          return err;
+        }
+        if (map.bytes > mapped_bytes) continue;  // grown: re-read
         return Error{ErrorCode::kParseError,
                      path + ": payload bounds fall outside the region"};
       }
+      const auto* bytes = static_cast<const std::uint8_t*>(map.addr);
       ShmArtefacts out;
       out.model_json.assign(reinterpret_cast<const char*>(bytes + model_off),
                             model_len);
       out.config_json.assign(reinterpret_cast<const char*>(bytes + config_off),
                              config_len);
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (generation.load(std::memory_order_acquire) != g1) continue;  // torn
+      if (generation() != g1) continue;  // torn
       out.generation = g1;
       return out;
     }
@@ -368,7 +390,7 @@ Expected<ShmArtefacts> read_shm_region_impl(const std::string& path,
     // failpoint) — the classic "caught mid-swap" report stands and there is
     // nothing to heal — or the region just turned healthy (a publisher
     // committed, or a rival healer repaired it) and the next round reads it.
-    const std::uint64_t raw = generation.load(std::memory_order_acquire);
+    const std::uint64_t raw = generation();
     if ((raw & 1) == 0) {
       if (failpoint::triggered("shm-mid-swap")) break;
       continue;
@@ -378,8 +400,8 @@ Expected<ShmArtefacts> read_shm_region_impl(const std::string& path,
     // Genuinely stuck odd: probe the stamped writer. A live publisher gets
     // the benefit of the doubt (kUnavailable, retry later); a dead one left
     // a tombstone — heal and re-read.
-    const auto pid = static_cast<pid_t>(header->writer_pid);
-    const std::uint64_t nonce = header->writer_nonce;
+    const auto pid = static_cast<pid_t>(header()->writer_pid);
+    const std::uint64_t nonce = header()->writer_nonce;
     if (writer_alive(pid, nonce)) {
       return Error{ErrorCode::kUnavailable,
                    path + ": publisher pid " + std::to_string(pid) +
@@ -388,8 +410,8 @@ Expected<ShmArtefacts> read_shm_region_impl(const std::string& path,
     const Error healed = heal_shm_region(path);
     if (healed.ok()) continue;  // healed (by us or a rival) — re-read
     if (healed.code == ErrorCode::kUnavailable &&
-        header->prev_generation != 0 &&
-        (header->prev_generation & 1) == 0) {
+        header()->prev_generation != 0 &&
+        (header()->prev_generation & 1) == 0) {
       // The tombstone is healable, so the kUnavailable can only mean the
       // flock is held by a rival healer (or a fresh publisher) that leaves
       // the region healthy behind it. Give it a beat and re-read.

@@ -43,7 +43,7 @@ namespace adsala::core {
 ///                       GEMM query of its equivalent shape
 ///   kHeuristicFallback  no usable artefacts; a built-in analytic occupancy
 ///                       rule (simarch::MachineModel literals) answered
-/// The numeric values are the daemon's wire mode byte (0, 1, 2).
+/// Ordered from the best rung to the last resort.
 enum class ServingMode { kModelServed, kGemmProxy, kHeuristicFallback };
 
 /// Stable name for logs/CLI: "model", "gemm_proxy", "heuristic".

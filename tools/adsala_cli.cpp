@@ -8,11 +8,6 @@
 //   adsala inspect   --dir DIR
 //   adsala time      --platform <...> --shape MxKxN [--threads P]
 //   adsala publish   --dir DIR --shm PATH
-//   adsala serve     --dir DIR | --shm PATH [--fallback] --socket PATH
-//                    [--max-requests N] [--reattach] [--io-timeout-ms N]
-//   adsala query     --socket PATH --shape MxKxN | --<op> XxY
-//                    [--send-malformed] [--io-timeout-ms N] [--retry]
-//                    [--wedge-ms N]
 //   adsala sample    --dir DIR | --shm PATH --platform <...> --telemetry PATH
 //                    [--samples N] [--ops <name>,...]
 //   adsala retune    --dir DIR --telemetry PATH [--force] [--threshold X]
@@ -31,29 +26,13 @@
 // `time` measures one GEMM on the chosen backend at a given thread count
 // (or sweeps the default grid when --threads is omitted).
 //
-// Tuning-as-a-service verbs (docs/OPERATIONS.md):
-// `publish` validates a directory's artefacts and copies them into a
-// shared-memory region (core/shm_store.h) that any number of processes can
-// serve from (`predict --shm`, `serve --shm`). `serve` runs the resident
-// daemon on a Unix-domain socket; `query` is its client (and `--send-
-// malformed` deliberately sends a wrong-version frame so CI can check the
-// protocol-error path end to end). `serve --shm --reattach` keeps watching
-// the region between connections and hot-swaps in any new generation a
-// retune republished.
-//
-// Crash-safety plumbing (ISSUE 10, docs/OPERATIONS.md "Crash recovery
-// runbook"): `serve` refuses to steal a live daemon's socket (exit 9),
-// drains gracefully on SIGTERM/SIGINT, and bounds each connection's recv/
-// send with --io-timeout-ms (default 2000; <= 0 disables). `query --retry`
-// answers through the resilient client — bounded retry with full-jitter
-// backoff, circuit breaker, in-process fallback from --dir/--shm — so it
-// always prints a thread count; knobs via ADSALA_RETRY_ATTEMPTS,
-// ADSALA_RETRY_BACKOFF_MS, ADSALA_BREAKER_THRESHOLD, ADSALA_BREAKER_OPEN_MS.
-// `query --wedge-ms N` is the test-only misbehaving client: it connects,
-// sends 4 bytes of a frame, sleeps N ms, and exits — proving a wedged
-// client costs the daemon one timeout, not the service. Loading from a
-// --dir store first runs recover_store() best-effort, so a crashed
-// promote's debris never blocks serving.
+// Decisions are served in-process (docs/OPERATIONS.md "Tuning as a
+// service"): a caller loads a directory store (`--dir`) or attaches a
+// shared-memory region (`--shm`). `publish` validates a directory's
+// artefacts and copies them into such a region (core/shm_store.h), which
+// any number of processes can then attach. Loading from a --dir store first
+// runs recover_store() best-effort, so a crashed promote's debris never
+// blocks serving (docs/OPERATIONS.md "Crash recovery — the runbook").
 //
 // Continual-retuning verbs (docs/OPERATIONS.md "Continual retuning"):
 // `sample` drives measured traffic through a serving runtime with the
@@ -68,23 +47,16 @@
 // Exit codes follow the error taxonomy (common/status.h, exit_code_for):
 //   0 success        2 usage error            3 artefact file missing
 //   4 artefact undecodable                    5 artefact fails validation
-//   6 out of memory  7 temporarily unavailable (shm mid-swap, daemon down)
-//   8 protocol error (malformed daemon frame)
+//   6 out of memory  7 temporarily unavailable (shm region mid-swap)
 //   9 precondition failed (rollback target not retained, telemetry too thin)
 //   1 any other internal error
+// (8 is retired and never reused.)
 // Artefact problems print one line to stderr: "error (<code>): <message>".
 // `predict --fallback` never fails on artefact problems — it serves from
 // the degraded heuristic instead and reports the serving mode.
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <time.h>
-#include <unistd.h>
-
 #include <cctype>
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -94,13 +66,11 @@
 #include <string>
 #include <vector>
 
-#include "adsala_daemon.h"
 #include "blas/op.h"
 #include "common/status.h"
 #include "core/adsala.h"
 #include "core/install.h"
 #include "core/op_registry.h"
-#include "core/resilient_client.h"
 #include "core/retune.h"
 #include "core/shm_store.h"
 #include "preprocess/pipeline.h"
@@ -116,12 +86,9 @@ struct Args {
   std::size_t samples = 150;
   std::size_t cap_mb = 100;
   bool tune = true;
-  bool fallback = false;  ///< predict/serve: degrade instead of failing
+  bool fallback = false;  ///< predict/sample: degrade instead of failing
   int threads = 0;
   std::string shm;                 ///< shared-memory region path
-  std::string socket;              ///< daemon Unix-domain socket path
-  long max_requests = -1;          ///< serve: exit after N answers (< 0: run)
-  bool send_malformed = false;     ///< query: send a wrong-version frame
   std::vector<std::string> models; ///< install/retune: candidate zoo override
   std::string telemetry;           ///< sample/retune: telemetry log path
   bool force = false;              ///< retune: retrain even without drift
@@ -129,10 +96,6 @@ struct Args {
   std::size_t window = 4096;       ///< retune: drift window (records)
   std::size_t min_groups = 8;      ///< retune: min shape groups per op
   std::uint64_t to_version = 0;    ///< rollback: retained version to republish
-  bool reattach = false;           ///< serve: hot-swap new shm generations in
-  int io_timeout_ms = 2000;        ///< serve/query: per-connection deadline
-  bool retry = false;              ///< query: resilient client (retry/breaker)
-  int wedge_ms = 0;                ///< query: misbehaving-client test mode
   std::vector<blas::OpKind> ops = {blas::OpKind::kGemm};
   /// Predict queries in parse order; shapes carry the op's stored
   /// equivalent-GEMM convention (canonicalised by the registry).
@@ -170,18 +133,12 @@ std::string op_name_list() {
                "  adsala install --platform <native|setonix|gadi|tiny> "
                "[--samples N] [--out DIR] [--cap-mb MB] [--no-tune] "
                "[--ops %s]\n"
-               "  adsala predict --dir DIR [--fallback] "
+               "  adsala predict --dir DIR | --shm PATH [--fallback] "
                "[--shape MxKxN ...]%s\n"
                "  adsala inspect --dir DIR\n"
                "  adsala time    --platform <...> --shape MxKxN "
                "[--threads P]\n"
                "  adsala publish --dir DIR --shm PATH\n"
-               "  adsala serve   --dir DIR | --shm PATH [--fallback] "
-               "--socket PATH [--max-requests N] [--reattach] "
-               "[--io-timeout-ms N]\n"
-               "  adsala query   --socket PATH --shape MxKxN | --<op> XxY "
-               "[--send-malformed] [--io-timeout-ms N] [--retry] "
-               "[--wedge-ms N]\n"
                "  adsala sample  --dir DIR | --shm PATH --platform <...> "
                "--telemetry PATH [--samples N] [--ops ...]\n"
                "  adsala retune  --dir DIR --telemetry PATH [--force] "
@@ -230,12 +187,6 @@ Args parse(int argc, char** argv) {
       args.threads = std::stoi(value());
     } else if (flag == "--shm") {
       args.shm = value();
-    } else if (flag == "--socket") {
-      args.socket = value();
-    } else if (flag == "--max-requests") {
-      args.max_requests = std::stol(value());
-    } else if (flag == "--send-malformed") {
-      args.send_malformed = true;
     } else if (flag == "--telemetry") {
       args.telemetry = value();
     } else if (flag == "--force") {
@@ -248,14 +199,6 @@ Args parse(int argc, char** argv) {
       args.min_groups = std::stoul(value());
     } else if (flag == "--to") {
       args.to_version = std::stoull(value());
-    } else if (flag == "--reattach") {
-      args.reattach = true;
-    } else if (flag == "--io-timeout-ms") {
-      args.io_timeout_ms = std::stoi(value());
-    } else if (flag == "--retry") {
-      args.retry = true;
-    } else if (flag == "--wedge-ms") {
-      args.wedge_ms = std::stoi(value());
     } else if (flag == "--models") {
       // Candidate zoo override for install (comma list, e.g.
       // "decision_tree"): committed CI artefacts pin a compact model so the
@@ -540,33 +483,6 @@ int cmd_publish(const Args& args) {
   return 0;
 }
 
-int cmd_serve(const Args& args) {
-  if (args.socket.empty()) usage("serve needs --socket PATH");
-  if (args.reattach && args.shm.empty()) {
-    usage("serve --reattach needs --shm PATH (the region to watch)");
-  }
-  int exit_code = 0;
-  auto runtime = load_runtime(args, &exit_code);
-  if (runtime == nullptr) return exit_code;
-  std::printf("serving platform %s, model %s (mode %s) on %s%s\n",
-              runtime->platform().c_str(), runtime->model_name().c_str(),
-              core::serving_mode_name(runtime->serving_mode()),
-              args.socket.c_str(),
-              args.reattach ? " (reattach on new shm generations)" : "");
-  std::fflush(stdout);
-  daemon::ServeOptions options;
-  options.socket_path = args.socket;
-  options.max_requests = args.max_requests;
-  options.io_timeout_ms = args.io_timeout_ms;
-  if (args.reattach) options.reattach_shm = args.shm;
-  const Error err = daemon::serve(*runtime, options);
-  if (!err.ok()) {
-    report_error(err);
-    return exit_code_for(err.code);
-  }
-  return 0;
-}
-
 /// Traffic generator for the retuning loop: measures sampled shapes on the
 /// chosen backend across the serving grid, recording every measurement into
 /// the telemetry log through the runtime's own sampler (1-in-1 sampling, so
@@ -687,150 +603,6 @@ int cmd_versions(const Args& args) {
   return 0;
 }
 
-/// Test-only misbehaving client: connect, send a few bytes of a frame,
-/// hold the connection while sleeping, exit. Exercises the daemon's
-/// per-connection io deadline (a wedged client must cost one timeout, not
-/// the whole service).
-int run_wedge_client(const std::string& socket_path, int wedge_ms) {
-  sockaddr_un addr{};
-  if (socket_path.size() >= sizeof(addr.sun_path)) usage("socket path too long");
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) return 1;
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    ::close(fd);
-    const Error err{ErrorCode::kUnavailable,
-                    socket_path + ": wedge client cannot connect"};
-    report_error(err);
-    return exit_code_for(err.code);
-  }
-  const std::uint8_t partial[4] = {daemon::kProtocolVersion, 0, 4, 0};
-  (void)::send(fd, partial, sizeof(partial), MSG_NOSIGNAL);
-  std::printf("wedged on %s for %d ms (4 of %zu frame bytes sent)\n",
-              socket_path.c_str(), wedge_ms, daemon::kRequestBytes);
-  std::fflush(stdout);
-  timespec ts{wedge_ms / 1000, static_cast<long>(wedge_ms % 1000) * 1000000};
-  while (::nanosleep(&ts, &ts) != 0 && errno == EINTR) {
-  }
-  ::close(fd);
-  return 0;
-}
-
-int cmd_query(const Args& args) {
-  if (args.socket.empty()) usage("query needs --socket PATH");
-  if (args.wedge_ms > 0) return run_wedge_client(args.socket, args.wedge_ms);
-  if (args.queries.size() != 1) {
-    usage("query needs exactly one --shape or family flag");
-  }
-  const auto& [op, shape] = args.queries.front();
-  const auto& traits = core::op_traits(op);
-  long coords[3] = {0, 0, 0};
-  traits.from_shape(shape, &coords[0], &coords[1], &coords[2]);
-
-  if (args.retry) {
-    // Resilient path: bounded retry + breaker + in-process fallback. The
-    // answer always arrives; the exit code only reflects semantic errors.
-    core::ResilientClient::Options options;
-    if (const char* env = std::getenv("ADSALA_RETRY_ATTEMPTS")) {
-      options.max_attempts = std::atoi(env);
-    }
-    if (const char* env = std::getenv("ADSALA_RETRY_BACKOFF_MS")) {
-      options.base_backoff_ms = std::atoi(env);
-    }
-    if (const char* env = std::getenv("ADSALA_BREAKER_THRESHOLD")) {
-      options.breaker_threshold = std::atoi(env);
-    }
-    if (const char* env = std::getenv("ADSALA_BREAKER_OPEN_MS")) {
-      options.breaker_open_ms = std::atoi(env);
-    }
-    options.fallback_loader = [&args]() {
-      if (!args.shm.empty()) {
-        if (auto attached = core::AdsalaGemm::try_attach(args.shm);
-            attached.ok()) {
-          return std::move(attached).value();
-        }
-        return core::AdsalaGemm::heuristic_fallback();
-      }
-      return core::AdsalaGemm::load_or_fallback(args.dir + "/model.json",
-                                                args.dir + "/config.json");
-    };
-    core::ResilientClient client(
-        [&args](const core::ServeQuery& q)
-            -> Expected<core::ServeAnswer> {
-          daemon::Request req;
-          req.op_code = static_cast<std::uint8_t>(blas::op_code(q.op));
-          req.elem_bytes = static_cast<std::uint8_t>(q.elem_bytes);
-          req.x = q.x;
-          req.y = q.y;
-          req.z = q.z;
-          auto ans = daemon::query(args.socket, req, args.io_timeout_ms);
-          if (!ans.ok()) return ans.error();
-          if (ans.value().status != ErrorCode::kOk) {
-            return Error{ans.value().status, "daemon rejected the request"};
-          }
-          core::ServeAnswer out;
-          out.threads = static_cast<int>(ans.value().threads);
-          out.mode = ans.value().mode;
-          return out;
-        },
-        std::move(options));
-
-    core::ServeQuery q;
-    q.op = op;
-    q.x = coords[0];
-    q.y = coords[1];
-    q.z = coords[2];
-    auto answer = client.query(q);
-    if (!answer.ok()) {
-      report_error(answer.error());
-      return exit_code_for(answer.error().code);
-    }
-    std::printf("%s", blas::op_name(op));
-    for (int d = 0; d < traits.family_dims; ++d) {
-      std::printf(" %s=%ld", traits.coord_names[d], coords[d]);
-    }
-    std::printf(" -> %d threads (mode %s%s)\n", answer.value().threads,
-                core::serving_mode_name(
-                    static_cast<core::ServingMode>(answer.value().mode)),
-                answer.value().from_fallback ? ", local fallback" : "");
-    return 0;
-  }
-
-  daemon::Request req;
-  req.op_code = static_cast<std::uint8_t>(blas::op_code(op));
-  req.elem_bytes = 4;
-  req.x = coords[0];
-  req.y = coords[1];
-  req.z = coords[2];
-  if (args.send_malformed) {
-    // Deliberately violate the protocol (wrong version byte) so CI can
-    // drive the daemon's protocol-error path over a real socket.
-    req.version = 0x7F;
-  }
-
-  auto answer = daemon::query(args.socket, req, args.io_timeout_ms);
-  if (!answer.ok()) {
-    report_error(answer.error());
-    return exit_code_for(answer.error().code);
-  }
-  const daemon::Ack& ack = answer.value();
-  if (ack.status != ErrorCode::kOk) {
-    const Error err{ack.status, "daemon rejected the request"};
-    report_error(err);
-    return exit_code_for(err.code);
-  }
-  std::printf("%s", blas::op_name(op));
-  for (int d = 0; d < traits.family_dims; ++d) {
-    std::printf(" %s=%ld", traits.coord_names[d], coords[d]);
-  }
-  std::printf(" -> %u threads (mode %s)\n", ack.threads,
-              core::serving_mode_name(
-                  static_cast<core::ServingMode>(ack.mode)));
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -841,8 +613,6 @@ int main(int argc, char** argv) {
     if (args.command == "inspect") return cmd_inspect(args);
     if (args.command == "time") return cmd_time(args);
     if (args.command == "publish") return cmd_publish(args);
-    if (args.command == "serve") return cmd_serve(args);
-    if (args.command == "query") return cmd_query(args);
     if (args.command == "sample") return cmd_sample(args);
     if (args.command == "retune") return cmd_retune(args);
     if (args.command == "rollback") return cmd_rollback(args);
