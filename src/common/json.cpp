@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -22,6 +23,23 @@ bool Json::contains(const std::string& key) const {
 Json& Json::operator[](const std::string& key) {
   if (!is_object()) value_ = JsonObject{};
   return std::get<JsonObject>(value_)[key];
+}
+
+bool Json::is_int() const {
+  if (!is_number()) return false;
+  const double v = as_number();
+  // The range test comes first and is false for NaN, so the cast below
+  // only ever sees a value an int can hold.
+  return v >= std::numeric_limits<int>::min() &&
+         v <= std::numeric_limits<int>::max() &&
+         static_cast<double>(static_cast<int>(v)) == v;
+}
+
+int Json::as_int() const {
+  if (!is_int()) {
+    throw std::invalid_argument("json: not an integer in int range");
+  }
+  return static_cast<int>(as_number());
 }
 
 Json Json::from_doubles(const std::vector<double>& xs) {

@@ -44,7 +44,11 @@ class Json {
 
   bool as_bool() const { return std::get<bool>(value_); }
   double as_number() const { return std::get<double>(value_); }
-  int as_int() const { return static_cast<int>(std::get<double>(value_)); }
+  /// True for a number that is a whole value in int range: the one rule
+  /// for every integer an artefact carries (counts, indices, thread ids).
+  bool is_int() const;
+  /// The value as an int; throws std::invalid_argument unless is_int().
+  int as_int() const;
   const std::string& as_string() const { return std::get<std::string>(value_); }
   const JsonArray& as_array() const { return std::get<JsonArray>(value_); }
   JsonArray& as_array() { return std::get<JsonArray>(value_); }

@@ -121,6 +121,10 @@ Expected<std::shared_ptr<ServingSnapshot>> try_load_blobs(
       !cfg.at("thread_grid").is_array() || !cfg.at("pipeline").is_object()) {
     return validation_error(config_label, "field with wrong type");
   }
+  if (!cfg.at("max_threads").is_int()) {
+    return validation_error(config_label,
+                            "max_threads is not an integer in int range");
+  }
   const int max_threads = cfg.at("max_threads").as_int();
   if (max_threads < 1) {
     return validation_error(config_label, "max_threads must be positive");
@@ -132,10 +136,10 @@ Expected<std::shared_ptr<ServingSnapshot>> try_load_blobs(
   std::vector<int> thread_grid;
   thread_grid.reserve(grid_json.size());
   for (const auto& v : grid_json) {
-    if (!v.is_number() || !std::isfinite(v.as_number()) ||
-        v.as_number() != std::floor(v.as_number())) {
+    if (!v.is_int()) {
       return validation_error(config_label,
-                              "thread_grid entry is not an integer");
+                              "thread_grid entry is not an integer in int "
+                              "range");
     }
     const int p = v.as_int();
     if (p < 1) {
@@ -186,7 +190,7 @@ Expected<std::shared_ptr<ServingSnapshot>> try_load_blobs(
   }
   std::unique_ptr<ml::Regressor> model;
   try {
-    model = ml::load_model(model_blob);
+    model = ml::load_model(model_blob, pipeline.kept_features().size());
   } catch (const std::exception& e) {
     return validation_error(model_label, e.what());
   }
@@ -522,18 +526,6 @@ AdsalaGemm::Decision AdsalaGemm::query(blas::OpKind op, long x, long y,
   return d;
 }
 
-int AdsalaGemm::select_threads_syrk(long n, long k, int elem_bytes) const {
-  return select_threads(blas::OpKind::kSyrk, n, k, 0, elem_bytes);
-}
-
-int AdsalaGemm::select_threads_trsm(long n, long m, int elem_bytes) const {
-  return select_threads(blas::OpKind::kTrsm, n, m, 0, elem_bytes);
-}
-
-int AdsalaGemm::select_threads_symm(long n, long m, int elem_bytes) const {
-  return select_threads(blas::OpKind::kSymm, n, m, 0, elem_bytes);
-}
-
 namespace {
 
 /// Shared sampling shim for the BLAS execution wrappers: when this call
@@ -562,7 +554,7 @@ void run_sampled(const AdsalaGemm& runtime, blas::OpKind op, long x, long y,
 void AdsalaGemm::sgemm(int m, int n, int k, float alpha, const float* a,
                        int lda, const float* b, int ldb, float beta, float* c,
                        int ldc) {
-  const int p = select_threads(m, k, n, 4);
+  const int p = select_threads(blas::OpKind::kGemm, m, k, n, 4);
   run_sampled(*this, blas::OpKind::kGemm, m, k, n, 4, p, [&] {
     blas::sgemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, alpha, a, lda, b,
                 ldb, beta, c, ldc, p);
@@ -572,7 +564,7 @@ void AdsalaGemm::sgemm(int m, int n, int k, float alpha, const float* a,
 void AdsalaGemm::dgemm(int m, int n, int k, double alpha, const double* a,
                        int lda, const double* b, int ldb, double beta,
                        double* c, int ldc) {
-  const int p = select_threads(m, k, n, 8);
+  const int p = select_threads(blas::OpKind::kGemm, m, k, n, 8);
   run_sampled(*this, blas::OpKind::kGemm, m, k, n, 8, p, [&] {
     blas::dgemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, alpha, a, lda, b,
                 ldb, beta, c, ldc, p);
@@ -582,7 +574,7 @@ void AdsalaGemm::dgemm(int m, int n, int k, double alpha, const double* a,
 void AdsalaGemm::ssyrk(blas::Uplo uplo, int n, int k, float alpha,
                        const float* a, int lda, float beta, float* c,
                        int ldc) {
-  const int p = select_threads_syrk(n, k, 4);
+  const int p = select_threads(blas::OpKind::kSyrk, n, k, 0, 4);
   run_sampled(*this, blas::OpKind::kSyrk, n, k, 0, 4, p, [&] {
     blas::ssyrk(uplo, blas::Trans::kNo, n, k, alpha, a, lda, beta, c, ldc, p);
   });
@@ -591,7 +583,7 @@ void AdsalaGemm::ssyrk(blas::Uplo uplo, int n, int k, float alpha,
 void AdsalaGemm::dsyrk(blas::Uplo uplo, int n, int k, double alpha,
                        const double* a, int lda, double beta, double* c,
                        int ldc) {
-  const int p = select_threads_syrk(n, k, 8);
+  const int p = select_threads(blas::OpKind::kSyrk, n, k, 0, 8);
   run_sampled(*this, blas::OpKind::kSyrk, n, k, 0, 8, p, [&] {
     blas::dsyrk(uplo, blas::Trans::kNo, n, k, alpha, a, lda, beta, c, ldc, p);
   });
@@ -600,7 +592,7 @@ void AdsalaGemm::dsyrk(blas::Uplo uplo, int n, int k, double alpha,
 void AdsalaGemm::strsm(blas::Uplo uplo, blas::Trans trans, blas::Diag diag,
                        int n, int m, float alpha, const float* a, int lda,
                        float* b, int ldb) {
-  const int p = select_threads_trsm(n, m, 4);
+  const int p = select_threads(blas::OpKind::kTrsm, n, m, 0, 4);
   run_sampled(*this, blas::OpKind::kTrsm, n, m, 0, 4, p, [&] {
     blas::strsm(uplo, trans, diag, n, m, alpha, a, lda, b, ldb, p);
   });
@@ -609,7 +601,7 @@ void AdsalaGemm::strsm(blas::Uplo uplo, blas::Trans trans, blas::Diag diag,
 void AdsalaGemm::dtrsm(blas::Uplo uplo, blas::Trans trans, blas::Diag diag,
                        int n, int m, double alpha, const double* a, int lda,
                        double* b, int ldb) {
-  const int p = select_threads_trsm(n, m, 8);
+  const int p = select_threads(blas::OpKind::kTrsm, n, m, 0, 8);
   run_sampled(*this, blas::OpKind::kTrsm, n, m, 0, 8, p, [&] {
     blas::dtrsm(uplo, trans, diag, n, m, alpha, a, lda, b, ldb, p);
   });
@@ -618,7 +610,7 @@ void AdsalaGemm::dtrsm(blas::Uplo uplo, blas::Trans trans, blas::Diag diag,
 void AdsalaGemm::ssymm(blas::Uplo uplo, int n, int m, float alpha,
                        const float* a, int lda, const float* b, int ldb,
                        float beta, float* c, int ldc) {
-  const int p = select_threads_symm(n, m, 4);
+  const int p = select_threads(blas::OpKind::kSymm, n, m, 0, 4);
   run_sampled(*this, blas::OpKind::kSymm, n, m, 0, 4, p, [&] {
     blas::ssymm(uplo, n, m, alpha, a, lda, b, ldb, beta, c, ldc, p);
   });
@@ -627,7 +619,7 @@ void AdsalaGemm::ssymm(blas::Uplo uplo, int n, int m, float alpha,
 void AdsalaGemm::dsymm(blas::Uplo uplo, int n, int m, double alpha,
                        const double* a, int lda, const double* b, int ldb,
                        double beta, double* c, int ldc) {
-  const int p = select_threads_symm(n, m, 8);
+  const int p = select_threads(blas::OpKind::kSymm, n, m, 0, 8);
   run_sampled(*this, blas::OpKind::kSymm, n, m, 0, 8, p, [&] {
     blas::dsymm(uplo, n, m, alpha, a, lda, b, ldb, beta, c, ldc, p);
   });

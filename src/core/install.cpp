@@ -61,7 +61,8 @@ InstallReport install(GemmExecutor& executor, const InstallOptions& options) {
   copy.platform = report.trained.platform;
   copy.pipeline = report.trained.pipeline;
   // Reconstruct the fitted model through its own serialisation round-trip.
-  copy.model = ml::load_model(report.trained.model->save());
+  copy.model = ml::load_model(report.trained.model->save(),
+                              copy.pipeline.kept_features().size());
   AdsalaGemm runtime(std::move(copy));
 
   // Save behind tmp names and verify *those*, so the real paths are only

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "common/rng.h"
 
@@ -85,32 +86,22 @@ double AdaBoostR2::predict_one(std::span<const double> x) const {
   return pred.back().first;
 }
 
-Json AdaBoostR2::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
+void AdaBoostR2::save_state(Json& out) const {
   JsonArray trees;
   for (const auto& tree : trees_) trees.push_back(tree.save());
   out["trees"] = Json(std::move(trees));
   out["beta_log"] = Json::from_doubles(beta_log_);
-  return out;
 }
 
-void AdaBoostR2::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
+void AdaBoostR2::load_state(const Json& blob, std::size_t width) {
   trees_.clear();
   for (const auto& tj : blob.at("trees").as_array()) {
-    DecisionTree tree;
-    tree.load(tj);
-    trees_.push_back(std::move(tree));
+    trees_.emplace_back().load(tj, width);
   }
   beta_log_ = blob.at("beta_log").to_doubles();
+  if (beta_log_.size() != trees_.size()) {
+    throw std::invalid_argument("adaboost: beta_log needs one entry per tree");
+  }
 }
 
 }  // namespace adsala::ml

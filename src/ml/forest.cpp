@@ -37,29 +37,16 @@ double RandomForest::predict_one(std::span<const double> x) const {
   return sum / static_cast<double>(trees_.size());
 }
 
-Json RandomForest::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
+void RandomForest::save_state(Json& out) const {
   JsonArray trees;
   for (const auto& tree : trees_) trees.push_back(tree.save());
   out["trees"] = Json(std::move(trees));
-  return out;
 }
 
-void RandomForest::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
+void RandomForest::load_state(const Json& blob, std::size_t width) {
   trees_.clear();
   for (const auto& tj : blob.at("trees").as_array()) {
-    DecisionTree tree;
-    tree.load(tj);
-    trees_.push_back(std::move(tree));
+    trees_.emplace_back().load(tj, width);
   }
 }
 

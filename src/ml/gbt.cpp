@@ -31,18 +31,6 @@ double score(double g, double h, double reg_lambda) {
   return g * g / (h + reg_lambda);
 }
 
-double tree_predict(const std::vector<TreeNode>& nodes,
-                    std::span<const double> x) {
-  const TreeNode* node = &nodes[0];
-  while (!node->is_leaf()) {
-    const auto f = static_cast<std::size_t>(node->feature);
-    node = x[f] <= node->threshold
-               ? &nodes[static_cast<std::size_t>(node->left)]
-               : &nodes[static_cast<std::size_t>(node->right)];
-  }
-  return node->value;
-}
-
 }  // namespace
 
 void XgbRegressor::fit(const Dataset& data) {
@@ -180,67 +168,8 @@ void XgbRegressor::fit(const Dataset& data) {
       todo.push({right_id, mid, item.end, item.depth + 1});
     }
 
-    for (std::size_t i = 0; i < n; ++i) {
-      pred[i] += tree_predict(nodes, data.row(i));
-    }
-    trees_.push_back(std::move(nodes));
-  }
-}
-
-double XgbRegressor::predict_one(std::span<const double> x) const {
-  double acc = base_score_;
-  for (const auto& tree : trees_) acc += tree_predict(tree, x);
-  return acc;
-}
-
-Json XgbRegressor::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
-  out["base_score"] = Json(base_score_);
-  JsonArray trees;
-  for (const auto& nodes : trees_) {
-    JsonArray features, thresholds, values, lefts, rights;
-    for (const auto& node : nodes) {
-      features.emplace_back(node.feature);
-      thresholds.emplace_back(node.threshold);
-      values.emplace_back(node.value);
-      lefts.emplace_back(node.left);
-      rights.emplace_back(node.right);
-    }
-    Json tj;
-    tj["feature"] = Json(std::move(features));
-    tj["threshold"] = Json(std::move(thresholds));
-    tj["value"] = Json(std::move(values));
-    tj["left"] = Json(std::move(lefts));
-    tj["right"] = Json(std::move(rights));
-    trees.push_back(std::move(tj));
-  }
-  out["trees"] = Json(std::move(trees));
-  return out;
-}
-
-void XgbRegressor::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
-  base_score_ = blob.at("base_score").as_number();
-  trees_.clear();
-  for (const auto& tj : blob.at("trees").as_array()) {
-    const auto& features = tj.at("feature").as_array();
-    std::vector<TreeNode> nodes(features.size());
-    for (std::size_t i = 0; i < features.size(); ++i) {
-      nodes[i].feature = features[i].as_int();
-      nodes[i].threshold = tj.at("threshold").as_array()[i].as_number();
-      nodes[i].value = tj.at("value").as_array()[i].as_number();
-      nodes[i].left = tj.at("left").as_array()[i].as_int();
-      nodes[i].right = tj.at("right").as_array()[i].as_int();
-    }
-    trees_.push_back(std::move(nodes));
+    FlatTree& tree = trees_.emplace_back(FlatTree{std::move(nodes)});
+    for (std::size_t i = 0; i < n; ++i) pred[i] += tree.predict(data.row(i));
   }
 }
 

@@ -11,17 +11,15 @@
 
 #include <cstdint>
 
-#include "ml/model.h"
-#include "ml/tree.h"  // reuses the flat TreeNode record
+#include "ml/flat_tree.h"
 
 namespace adsala::ml {
 
-class XgbRegressor : public Regressor {
+class XgbRegressor : public TreeBooster {
  public:
   explicit XgbRegressor(Params params = {}) { set_params(params); }
 
   void fit(const Dataset& data) override;
-  double predict_one(std::span<const double> x) const override;
   std::string name() const override { return "xgboost"; }
 
   Params get_params() const override {
@@ -47,15 +45,6 @@ class XgbRegressor : public Regressor {
     seed_ = static_cast<std::uint64_t>(param_or(params, "seed", 17));
   }
 
-  Json save() const override;
-  void load(const Json& blob) override;
-  std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<XgbRegressor>(get_params());
-  }
-
-  std::size_t n_trees() const { return trees_.size(); }
-  double base_score() const { return base_score_; }
-
  private:
   int n_estimators_ = 200;
   int max_depth_ = 6;
@@ -66,9 +55,6 @@ class XgbRegressor : public Regressor {
   double subsample_ = 1.0;
   double colsample_ = 1.0;
   std::uint64_t seed_ = 17;
-
-  double base_score_ = 0.0;
-  std::vector<std::vector<TreeNode>> trees_;  ///< leaf values pre-shrunk
 };
 
 }  // namespace adsala::ml

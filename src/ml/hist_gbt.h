@@ -4,22 +4,21 @@
 // histograms of (G, H) make each split scan O(bins) instead of O(n log n),
 // and leaves are grown best-first (leaf-wise) up to num_leaves — the two
 // signature LightGBM design choices (Ke et al. 2017). Objective and gain are
-// the same second-order form as the XGBoost module.
+// the same second-order form as the XGBoost module. A split stores its
+// bin's upper edge as the threshold, so fitted trees walk raw values.
 #pragma once
 
 #include <cstdint>
 
-#include "ml/model.h"
-#include "ml/tree.h"
+#include "ml/flat_tree.h"
 
 namespace adsala::ml {
 
-class LightGbmRegressor : public Regressor {
+class LightGbmRegressor : public TreeBooster {
  public:
   explicit LightGbmRegressor(Params params = {}) { set_params(params); }
 
   void fit(const Dataset& data) override;
-  double predict_one(std::span<const double> x) const override;
   std::string name() const override { return "lightgbm"; }
 
   Params get_params() const override {
@@ -42,14 +41,6 @@ class LightGbmRegressor : public Regressor {
     seed_ = static_cast<std::uint64_t>(param_or(params, "seed", 19));
   }
 
-  Json save() const override;
-  void load(const Json& blob) override;
-  std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<LightGbmRegressor>(get_params());
-  }
-
-  std::size_t n_trees() const { return trees_.size(); }
-
  private:
   int n_estimators_ = 200;
   int num_leaves_ = 31;
@@ -58,9 +49,6 @@ class LightGbmRegressor : public Regressor {
   int min_child_samples_ = 5;
   int max_bins_ = 64;
   std::uint64_t seed_ = 19;
-
-  double base_score_ = 0.0;
-  std::vector<std::vector<TreeNode>> trees_;  ///< thresholds in value space
 };
 
 }  // namespace adsala::ml

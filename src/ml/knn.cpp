@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "common/thread_pool.h"
 
@@ -57,27 +59,21 @@ double KnnRegressor::predict_one(std::span<const double> x) const {
   return num / den;
 }
 
-Json KnnRegressor::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
+void KnnRegressor::save_state(Json& out) const {
   out["d"] = Json(d_);
   out["x"] = Json::from_doubles(x_);
   out["y"] = Json::from_doubles(y_);
-  return out;
 }
 
-void KnnRegressor::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
-  d_ = static_cast<std::size_t>(blob.at("d").as_number());
+void KnnRegressor::load_state(const Json& blob, std::size_t width) {
   x_ = blob.at("x").to_doubles();
   y_ = blob.at("y").to_doubles();
+  d_ = static_cast<std::size_t>(blob.at("d").as_int());
+  if (d_ != width || x_.size() != d_ * y_.size() || k_ < 1) {
+    throw std::invalid_argument(
+        "knn: needs d == " + std::to_string(width) +
+        " inputs, d x |y| training values and k >= 1");
+  }
 }
 
 }  // namespace adsala::ml

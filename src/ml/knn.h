@@ -28,13 +28,10 @@ class KnnRegressor : public Regressor {
     distance_weighted_ = param_or(params, "distance_weighted", 0.0) != 0.0;
   }
 
-  Json save() const override;
-  void load(const Json& blob) override;
-  std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<KnnRegressor>(get_params());
-  }
-
  private:
+  void save_state(Json& out) const override;
+  void load_state(const Json& blob, std::size_t width) override;
+
   int k_ = 5;
   bool distance_weighted_ = false;
   std::size_t d_ = 0;

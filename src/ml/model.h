@@ -39,14 +39,24 @@ class Regressor {
   /// Unknown keys are ignored so one grid can drive several models.
   virtual void set_params(const Params& params) = 0;
 
-  /// Serialises the *fitted* state (plus hyper-parameters).
-  virtual Json save() const = 0;
-  virtual void load(const Json& blob) = 0;
+  /// Serialises the fitted state inside the {"model", "params"} envelope
+  /// (name and hyper-parameters); the one writer of that envelope.
+  Json save() const;
+  /// Restores what save() wrote, for a model fed `width` inputs (the fitted
+  /// pipeline's kept features). The state is checked against `width`
+  /// before it is used, so a loaded model can never read out of bounds or
+  /// walk forever; any malformed blob throws.
+  void load(const Json& blob, std::size_t width);
 
-  /// Fresh unfitted copy carrying the same hyper-parameters.
-  virtual std::unique_ptr<Regressor> clone() const = 0;
+  /// Fresh unfitted copy carrying the same hyper-parameters (built by the
+  /// registry from name() and get_params()).
+  std::unique_ptr<Regressor> clone() const;
 
  protected:
+  /// The model's own fitted state, written into / read from the envelope.
+  virtual void save_state(Json& out) const = 0;
+  virtual void load_state(const Json& blob, std::size_t width) = 0;
+
   static void check_fit_input(const Dataset& data);
   static double param_or(const Params& p, const std::string& key,
                          double fallback);

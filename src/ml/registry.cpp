@@ -37,9 +37,9 @@ std::vector<std::string> model_names() {
           "svr"};
 }
 
-std::unique_ptr<Regressor> load_model(const Json& blob) {
+std::unique_ptr<Regressor> load_model(const Json& blob, std::size_t width) {
   auto model = make_model(blob.at("model").as_string());
-  model->load(blob);
+  model->load(blob, width);
   return model;
 }
 

@@ -24,8 +24,10 @@ std::unique_ptr<Regressor> make_model(const std::string& name,
 /// All registered model names (the candidate zoo, paper Table I).
 std::vector<std::string> model_names();
 
-/// Restores a fitted model from its save() blob (dispatches on blob["model"]).
-std::unique_ptr<Regressor> load_model(const Json& blob);
+/// Restores a fitted model fed `width` inputs from its save() blob
+/// (dispatches on blob["model"]); throws on any blob Regressor::load
+/// refuses.
+std::unique_ptr<Regressor> load_model(const Json& blob, std::size_t width);
 
 /// Default hyper-parameter grid per model for grid_search_cv; small grids
 /// for the heavyweight models keep installation-time tuning tractable.

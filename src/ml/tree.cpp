@@ -41,7 +41,7 @@ void DecisionTree::fit_weighted(const Dataset& data,
   }
   const std::size_t n = data.size();
   const std::size_t d = data.n_features();
-  nodes_.clear();
+  tree_.nodes.clear();
 
   std::vector<std::size_t> indices(n);
   std::iota(indices.begin(), indices.end(), std::size_t{0});
@@ -135,14 +135,14 @@ void DecisionTree::fit_weighted(const Dataset& data,
     return best;
   };
 
-  nodes_.emplace_back();
+  tree_.nodes.emplace_back();
   std::stack<BuildItem> todo;
   todo.push({0, 0, n, 0});
 
   while (!todo.empty()) {
     const BuildItem item = todo.top();
     todo.pop();
-    TreeNode& node = nodes_[static_cast<std::size_t>(item.node)];
+    TreeNode& node = tree_.nodes[static_cast<std::size_t>(item.node)];
     node.value = weighted_mean(item.begin, item.end);
 
     const std::size_t count = item.end - item.begin;
@@ -165,12 +165,12 @@ void DecisionTree::fit_weighted(const Dataset& data,
         static_cast<std::size_t>(mid_it - indices.begin());
     if (mid == item.begin || mid == item.end) continue;  // numeric ties
 
-    const int left_id = static_cast<int>(nodes_.size());
-    nodes_.emplace_back();
-    const int right_id = static_cast<int>(nodes_.size());
-    nodes_.emplace_back();
-    // nodes_ may have reallocated; re-reference.
-    TreeNode& parent = nodes_[static_cast<std::size_t>(item.node)];
+    const int left_id = static_cast<int>(tree_.nodes.size());
+    tree_.nodes.emplace_back();
+    const int right_id = static_cast<int>(tree_.nodes.size());
+    tree_.nodes.emplace_back();
+    // tree_.nodes may have reallocated; re-reference.
+    TreeNode& parent = tree_.nodes[static_cast<std::size_t>(item.node)];
     parent.feature = split.feature;
     parent.threshold = split.threshold;
     parent.left = left_id;
@@ -182,19 +182,11 @@ void DecisionTree::fit_weighted(const Dataset& data,
 }
 
 double DecisionTree::predict_one(std::span<const double> x) const {
-  if (nodes_.empty()) return 0.0;
-  const TreeNode* node = &nodes_[0];
-  while (!node->is_leaf()) {
-    const auto f = static_cast<std::size_t>(node->feature);
-    node = x[f] <= node->threshold
-               ? &nodes_[static_cast<std::size_t>(node->left)]
-               : &nodes_[static_cast<std::size_t>(node->right)];
-  }
-  return node->value;
+  return tree_.nodes.empty() ? 0.0 : tree_.predict(x);
 }
 
 std::size_t DecisionTree::depth() const {
-  if (nodes_.empty()) return 0;
+  if (tree_.nodes.empty()) return 0;
   std::size_t max_depth = 0;
   std::stack<std::pair<int, std::size_t>> todo;
   todo.push({0, 1});
@@ -202,52 +194,13 @@ std::size_t DecisionTree::depth() const {
     const auto [id, depth] = todo.top();
     todo.pop();
     max_depth = std::max(max_depth, depth);
-    const TreeNode& node = nodes_[static_cast<std::size_t>(id)];
+    const TreeNode& node = tree_.nodes[static_cast<std::size_t>(id)];
     if (!node.is_leaf()) {
       todo.push({node.left, depth + 1});
       todo.push({node.right, depth + 1});
     }
   }
   return max_depth;
-}
-
-Json DecisionTree::save() const {
-  Json out;
-  out["model"] = Json(name());
-  JsonObject pj;
-  for (const auto& [k, v] : get_params()) pj[k] = Json(v);
-  out["params"] = Json(std::move(pj));
-  JsonArray features, thresholds, values, lefts, rights;
-  for (const auto& node : nodes_) {
-    features.emplace_back(node.feature);
-    thresholds.emplace_back(node.threshold);
-    values.emplace_back(node.value);
-    lefts.emplace_back(node.left);
-    rights.emplace_back(node.right);
-  }
-  out["feature"] = Json(std::move(features));
-  out["threshold"] = Json(std::move(thresholds));
-  out["value"] = Json(std::move(values));
-  out["left"] = Json(std::move(lefts));
-  out["right"] = Json(std::move(rights));
-  return out;
-}
-
-void DecisionTree::load(const Json& blob) {
-  Params p;
-  for (const auto& [k, v] : blob.at("params").as_object()) {
-    p[k] = v.as_number();
-  }
-  set_params(p);
-  const auto& features = blob.at("feature").as_array();
-  nodes_.assign(features.size(), TreeNode{});
-  for (std::size_t i = 0; i < features.size(); ++i) {
-    nodes_[i].feature = features[i].as_int();
-    nodes_[i].threshold = blob.at("threshold").as_array()[i].as_number();
-    nodes_[i].value = blob.at("value").as_array()[i].as_number();
-    nodes_[i].left = blob.at("left").as_array()[i].as_int();
-    nodes_[i].right = blob.at("right").as_array()[i].as_int();
-  }
 }
 
 }  // namespace adsala::ml

@@ -9,20 +9,9 @@
 
 #include <cstdint>
 
-#include "ml/model.h"
+#include "ml/flat_tree.h"
 
 namespace adsala::ml {
-
-/// Flat node record; leaves have feature == -1 and carry `value`.
-struct TreeNode {
-  int feature = -1;
-  double threshold = 0.0;
-  double value = 0.0;
-  int left = -1;
-  int right = -1;
-
-  bool is_leaf() const { return feature < 0; }
-};
 
 class DecisionTree : public Regressor {
  public:
@@ -53,22 +42,21 @@ class DecisionTree : public Regressor {
     seed_ = static_cast<std::uint64_t>(param_or(params, "seed", 7));
   }
 
-  Json save() const override;
-  void load(const Json& blob) override;
-  std::unique_ptr<Regressor> clone() const override {
-    return std::make_unique<DecisionTree>(get_params());
-  }
-
-  const std::vector<TreeNode>& nodes() const { return nodes_; }
+  const std::vector<TreeNode>& nodes() const { return tree_.nodes; }
   std::size_t depth() const;  ///< actual depth of the fitted tree
 
  private:
+  void save_state(Json& out) const override { tree_.encode(out); }
+  void load_state(const Json& blob, std::size_t width) override {
+    tree_ = FlatTree::decode(blob, width);
+  }
+
   int max_depth_ = 12;
   int min_samples_split_ = 2;
   int min_samples_leaf_ = 1;
   double max_features_ = 1.0;  ///< fraction of features tried per split
   std::uint64_t seed_ = 7;
-  std::vector<TreeNode> nodes_;
+  FlatTree tree_;  ///< empty until fitted; predicts 0 then
 };
 
 }  // namespace adsala::ml

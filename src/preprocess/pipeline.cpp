@@ -147,14 +147,14 @@ void Pipeline::load(const Json& blob) {
   cfg_.yeo_johnson = blob.at("yeo_johnson").as_bool();
   cfg_.standardize = blob.at("standardize").as_bool();
   cfg_.lof = blob.at("lof").as_bool();
-  cfg_.lof_k = static_cast<std::size_t>(blob.at("lof_k").as_number());
+  cfg_.lof_k = static_cast<std::size_t>(blob.at("lof_k").as_int());
   cfg_.lof_threshold = blob.at("lof_threshold").as_number();
   cfg_.corr_filter = blob.at("corr_filter").as_bool();
   cfg_.corr_threshold = blob.at("corr_threshold").as_number();
   cfg_.log_label = blob.at("log_label").as_bool();
   cfg_.categorical.clear();
   for (const auto& v : blob.at("categorical").as_array()) {
-    cfg_.categorical.push_back(static_cast<std::size_t>(v.as_number()));
+    cfg_.categorical.push_back(static_cast<std::size_t>(v.as_int()));
   }
   names_.clear();
   for (const auto& s : blob.at("feature_names").as_array()) {
@@ -165,7 +165,7 @@ void Pipeline::load(const Json& blob) {
   stds_ = blob.at("stds").to_doubles();
   keep_.clear();
   for (const auto& v : blob.at("keep").as_array()) {
-    keep_.push_back(static_cast<std::size_t>(v.as_number()));
+    keep_.push_back(static_cast<std::size_t>(v.as_int()));
   }
   // transform_row indexes every per-column array by the kept indices.
   const std::size_t d = names_.size();

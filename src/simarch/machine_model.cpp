@@ -221,21 +221,6 @@ TimingBreakdown MachineModel::time_op(const GemmShape& shape,
   return out;
 }
 
-TimingBreakdown MachineModel::time_syrk(const GemmShape& shape,
-                                        const ExecPolicy& policy) const {
-  return time_op(shape, policy, kSyrkCostModel);
-}
-
-TimingBreakdown MachineModel::time_trsm(const GemmShape& shape,
-                                        const ExecPolicy& policy) const {
-  return time_op(shape, policy, kTrsmCostModel);
-}
-
-TimingBreakdown MachineModel::time_symm(const GemmShape& shape,
-                                        const ExecPolicy& policy) const {
-  return time_op(shape, policy, kSymmCostModel);
-}
-
 namespace {
 
 /// Mean of `iterations` noisy draws around an analytical base time.
@@ -273,24 +258,6 @@ double MachineModel::measure_gemm(const GemmShape& shape,
                                   int iterations) const {
   return noisy_mean(time_gemm(shape, policy), noise_seed_, noise_sigma_,
                     shape, policy, resolve_threads(policy), iterations);
-}
-
-double MachineModel::measure_syrk(const GemmShape& shape,
-                                  const ExecPolicy& policy,
-                                  int iterations) const {
-  return measure_op(shape, policy, kSyrkCostModel, iterations);
-}
-
-double MachineModel::measure_trsm(const GemmShape& shape,
-                                  const ExecPolicy& policy,
-                                  int iterations) const {
-  return measure_op(shape, policy, kTrsmCostModel, iterations);
-}
-
-double MachineModel::measure_symm(const GemmShape& shape,
-                                  const ExecPolicy& policy,
-                                  int iterations) const {
-  return measure_op(shape, policy, kSymmCostModel, iterations);
 }
 
 int MachineModel::optimal_threads(const GemmShape& shape, ExecPolicy policy,

@@ -80,22 +80,34 @@ struct OpCostModel {
   std::uint64_t noise_salt = 0;
 };
 
-/// Canonical cost models of the built-in family. The op registry
-/// (core/op_registry.cpp) references these same constants, so the
-/// time_syrk/trsm/symm convenience methods and the registry path cannot
-/// drift; an op added after this header froze keeps its cost model in its
-/// registry row alone.
+/// Canonical cost models of the built-in family, evaluated by time_op /
+/// measure_op. The op registry (core/op_registry.cpp) references these
+/// same constants; an op added after this header froze keeps its cost
+/// model in its registry row alone.
 inline constexpr OpCostModel kGemmCostModel{};
+/// SYRK, given as the equivalent-GEMM shape (m == n; A is n x k). SYRK
+/// shares GEMM's packing, barrier, and spawn structure (A is packed into
+/// both panel roles), but only the triangle's micro-tiles execute: the
+/// kernel component scales by (n + 1) / (2n).
 inline constexpr OpCostModel kSyrkCostModel{
     .triangle_kernel = true, .noise_salt = 0x53595246ull /* "SYRK" */};
+/// Left-side TRSM, equivalent-GEMM shape (m == k == triangle n; shape.n =
+/// RHS columns). The trailing updates are GEMMs over the triangle (kernel
+/// scales like SYRK), but the diagonal-block solves form a sequential
+/// chain: their work runs at single-thread rate whatever the team size,
+/// and the chain inserts an extra barrier sweep per panel (sync doubles).
+/// This models the schedule blas::trsm had before it split the columns
+/// across one region; it stays because the tracked simulated baselines
+/// depend on it.
 inline constexpr OpCostModel kTrsmCostModel{.triangle_kernel = true,
                                             .serial_diag_chain = true,
                                             .sync_mult = 2.0,
                                             .noise_salt =
                                                 0x5452534dull /* "TRSM" */};
-/// SYMM: same FLOP volume as the equivalent GEMM; the packing stream is
-/// slower because the mirrored half of every packed A block is read
-/// transposed (strided) out of the stored triangle.
+/// Left-side SYMM, equivalent-GEMM shape (m == k == symmetric n; shape.n =
+/// B/C columns): same FLOP volume as GEMM; the packing stream is slower
+/// because the mirrored half of every packed A block is read transposed
+/// (strided) out of the stored triangle.
 inline constexpr OpCostModel kSymmCostModel{
     .copy_mult = 1.3, .noise_salt = 0x53594d4dull /* "SYMM" */};
 
@@ -125,52 +137,9 @@ class MachineModel {
   double measure_op(const GemmShape& shape, const ExecPolicy& policy,
                     const OpCostModel& cost, int iterations = 10) const;
 
-  /// Noise-free breakdown of one SYRK call, given as the equivalent-GEMM
-  /// shape (m == n; A is n x k). SYRK shares GEMM's packing, barrier, and
-  /// spawn structure (our substrate runs it on the same packed-panel
-  /// machinery, and A is packed into both panel roles), but only the
-  /// triangle's micro-tiles execute: the kernel component scales by
-  /// (n + 1) / (2n).
-  TimingBreakdown time_syrk(const GemmShape& shape,
-                            const ExecPolicy& policy) const;
-
   /// Mean of `iterations` noisy total-time draws (the paper times 10
   /// iterations per configuration, SS V-B.3). Deterministic in (inputs, seed).
   double measure_gemm(const GemmShape& shape, const ExecPolicy& policy,
-                      int iterations = 10) const;
-
-  /// SYRK sibling of measure_gemm; noise stream is decorrelated from the
-  /// GEMM stream so mixed-op campaigns do not share draws.
-  double measure_syrk(const GemmShape& shape, const ExecPolicy& policy,
-                      int iterations = 10) const;
-
-  /// Noise-free breakdown of one left-side TRSM, given as the
-  /// equivalent-GEMM shape (m == k == triangle n; shape.n = RHS columns).
-  /// The trailing updates are plain GEMMs over the triangle (kernel scales
-  /// by (n + 1) / (2n) like SYRK), but the diagonal-block solves form a
-  /// sequential dependency chain: their work runs at single-thread rate no
-  /// matter the team size, and the chain inserts an extra barrier sweep per
-  /// panel (sync doubles). Both push the TRSM optimum below the GEMM one.
-  /// This models the schedule blas::trsm had before it split the columns
-  /// across one region; it stays because the tracked simulated baselines
-  /// depend on it.
-  TimingBreakdown time_trsm(const GemmShape& shape,
-                            const ExecPolicy& policy) const;
-
-  /// Noise-free breakdown of one left-side SYMM, equivalent-GEMM shape
-  /// (m == k == symmetric n; shape.n = B/C columns). Same FLOPs as GEMM;
-  /// the packing stream pays for the symmetric expansion (the mirrored half
-  /// of every packed A block is a strided transposed read), so the copy
-  /// component carries a constant surcharge.
-  TimingBreakdown time_symm(const GemmShape& shape,
-                            const ExecPolicy& policy) const;
-
-  /// TRSM sibling of measure_gemm (decorrelated noise stream).
-  double measure_trsm(const GemmShape& shape, const ExecPolicy& policy,
-                      int iterations = 10) const;
-
-  /// SYMM sibling of measure_gemm (decorrelated noise stream).
-  double measure_symm(const GemmShape& shape, const ExecPolicy& policy,
                       int iterations = 10) const;
 
   /// Exhaustive argmin of measure_gemm over 1..max_threads. Returns the

@@ -396,7 +396,8 @@ TEST(AdsalaGemm, OpAwareModelSelectsFromSyrkFamilyRows) {
   int n_diff = 0;
   for (const auto& rec : data.records) {
     if (rec.op != blas::OpKind::kSyrk) continue;
-    const int p_syrk = adsala.select_threads_syrk(rec.shape.n, rec.shape.k);
+    const int p_syrk =
+        adsala.select_threads(blas::OpKind::kSyrk, rec.shape.n, rec.shape.k);
     const int p_proxy =
         adsala.select_threads(rec.shape.n, rec.shape.k, rec.shape.n);
     EXPECT_GE(p_syrk, 1);
@@ -415,12 +416,12 @@ TEST(AdsalaGemm, OpAwareArtefactsSurviveSaveLoad) {
   AdsalaGemm restored(model_path, config_path);
   EXPECT_TRUE(restored.op_aware());
   for (long n : {64L, 300L, 900L}) {
-    EXPECT_EQ(restored.select_threads_syrk(n, 2 * n),
-              original.select_threads_syrk(n, 2 * n));
-    EXPECT_EQ(restored.select_threads_trsm(n, 2 * n),
-              original.select_threads_trsm(n, 2 * n));
-    EXPECT_EQ(restored.select_threads_symm(n, 2 * n),
-              original.select_threads_symm(n, 2 * n));
+    EXPECT_EQ(restored.select_threads(blas::OpKind::kSyrk, n, 2 * n),
+              original.select_threads(blas::OpKind::kSyrk, n, 2 * n));
+    EXPECT_EQ(restored.select_threads(blas::OpKind::kTrsm, n, 2 * n),
+              original.select_threads(blas::OpKind::kTrsm, n, 2 * n));
+    EXPECT_EQ(restored.select_threads(blas::OpKind::kSymm, n, 2 * n),
+              original.select_threads(blas::OpKind::kSymm, n, 2 * n));
     EXPECT_EQ(restored.select_threads(n, n, n),
               original.select_threads(n, n, n));
   }
@@ -446,14 +447,16 @@ TEST(AdsalaGemm, FourOpModelServesTrsmAndSymmFirstClass) {
   int n_trsm_diff = 0, n_symm_diff = 0;
   for (const auto& rec : data.records) {
     if (rec.op == blas::OpKind::kTrsm) {
-      const int p = adsala.select_threads_trsm(rec.shape.m, rec.shape.n);
+      const int p =
+          adsala.select_threads(blas::OpKind::kTrsm, rec.shape.m, rec.shape.n);
       EXPECT_GE(p, 1);
       EXPECT_LE(p, 16);
       n_trsm_diff +=
           (p != adsala.select_threads(rec.shape.m, rec.shape.m, rec.shape.n));
     }
     if (rec.op == blas::OpKind::kSymm) {
-      const int p = adsala.select_threads_symm(rec.shape.m, rec.shape.n);
+      const int p =
+          adsala.select_threads(blas::OpKind::kSymm, rec.shape.m, rec.shape.n);
       EXPECT_GE(p, 1);
       EXPECT_LE(p, 16);
       n_symm_diff +=
@@ -506,10 +509,10 @@ TEST(AdsalaGemm, MemoInvalidatesAcrossOpsAndElemSizes) {
   // Interleaved queries over the same (m, k, n) must each return their own
   // answer — a memo keyed on the shape alone would leak across ops/sizes.
   EXPECT_EQ(adsala.select_threads(n, k, n, 4), gemm4);
-  EXPECT_EQ(adsala.select_threads_syrk(n, k, 4), syrk4);
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kSyrk, n, k, 0, 4), syrk4);
   EXPECT_EQ(adsala.select_threads(n, k, n, 4), gemm4);
   EXPECT_EQ(adsala.select_threads(n, k, n, 8), gemm8);
-  EXPECT_EQ(adsala.select_threads_syrk(n, k, 4), syrk4);
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kSyrk, n, k, 0, 4), syrk4);
   EXPECT_EQ(adsala.select_threads(n, k, n, 4), gemm4);
   EXPECT_EQ(adsala.select_threads(n, k, n, 4), gemm4);  // memo fast path
 
@@ -522,9 +525,9 @@ TEST(AdsalaGemm, MemoInvalidatesAcrossOpsAndElemSizes) {
   };
   const int trsm4 = fresh_tri(blas::OpKind::kTrsm);
   const int symm4 = fresh_tri(blas::OpKind::kSymm);
-  EXPECT_EQ(adsala.select_threads_trsm(n, k, 4), trsm4);
-  EXPECT_EQ(adsala.select_threads_symm(n, k, 4), symm4);
-  EXPECT_EQ(adsala.select_threads_trsm(n, k, 4), trsm4);
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kTrsm, n, k, 0, 4), trsm4);
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kSymm, n, k, 0, 4), symm4);
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kTrsm, n, k, 0, 4), trsm4);
 }
 
 TEST(AdsalaGemm, SelectThreadsMemoisesLastQuery) {
@@ -544,7 +547,7 @@ TEST(AdsalaGemm, SelectThreadsMemoisesLastQuery) {
   // queries reduce to the GEMM proxy) — the one artefact shape that serves
   // through the kGemmProxy rung.
   EXPECT_FALSE(adsala.op_aware());
-  EXPECT_EQ(adsala.select_threads_syrk(100, 200),
+  EXPECT_EQ(adsala.select_threads(blas::OpKind::kSyrk, 100, 200),
             adsala.select_threads(100, 200, 100));
   EXPECT_EQ(adsala.serving_mode(blas::OpKind::kGemm),
             ServingMode::kModelServed);

@@ -59,7 +59,9 @@ void spit(const std::string& path, const std::string& bytes) {
 class CrashRecovery : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    root_ = new std::string("/tmp/adsala_test_crash_recovery");
+    // Per process, so concurrent runs never remove each other's stores.
+    root_ = new std::string("/tmp/adsala_test_crash_recovery_" +
+                            std::to_string(::getpid()));
     fs::remove_all(*root_);
     fs::create_directories(*root_);
     SimulatedExecutor ex(simarch::MachineModel(simarch::tiny_topology(), 42));

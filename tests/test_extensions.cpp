@@ -305,22 +305,11 @@ TEST(Svr, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a.predict_one(x), b.predict_one(x));
 }
 
-TEST(Svr, SaveLoadRoundTrip) {
-  ml::SvrRegressor model;
-  model.fit(linear_standardised(100, 0.1, 6));
-  ml::SvrRegressor restored;
-  restored.load(model.save());
-  const std::vector<double> x = {1.0, 1.0};
-  EXPECT_DOUBLE_EQ(restored.predict_one(x), model.predict_one(x));
-}
-
 TEST(Svr, InRegistry) {
   auto model = ml::make_model("svr");
   EXPECT_EQ(model->name(), "svr");
-  auto restored = ml::load_model([&] {
-    model->fit(linear_standardised(50, 0.1, 7));
-    return model->save();
-  }());
+  model->fit(linear_standardised(50, 0.1, 7));
+  auto restored = ml::load_model(model->save(), 2);
   EXPECT_EQ(restored->name(), "svr");
   EXPECT_NO_THROW(ml::default_grid("svr"));
 }

@@ -42,6 +42,7 @@
 #include "core/shm_store.h"
 #include "core/telemetry_log.h"
 #include "core/trainer.h"
+#include "ml/registry.h"
 #include "preprocess/features.h"
 
 namespace adsala::core {
@@ -123,9 +124,26 @@ TEST(Failpoint, ReloadFromEnvParsesCommaList) {
 class ArtefactCorpus : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::string("/tmp/adsala_test_faults");
+    // Per process: two test_faults runs side by side (two build trees, a
+    // sanitizer leg beside a ctest loop) must not wipe each other's fixture.
+    dir_ = new std::string("/tmp/adsala_test_faults_" +
+                           std::to_string(::getpid()));
     std::filesystem::remove_all(*dir_);
     std::filesystem::create_directories(*dir_);
+    TrainOptions opts;
+    opts.candidates = {"decision_tree"};
+    opts.tune = false;
+    AdsalaGemm runtime(train_and_select(corpus_timings(), opts));
+    runtime.save(model_path(), config_path());
+  }
+  static void TearDownTestSuite() {
+    std::filesystem::remove_all(*dir_);
+    delete dir_;
+    dir_ = nullptr;
+  }
+
+  /// The simulated gather the corpus install is trained on.
+  static GatherData corpus_timings() {
     SimulatedExecutor ex(
         simarch::MachineModel(simarch::tiny_topology(), 42));
     GatherConfig cfg;
@@ -134,16 +152,7 @@ class ArtefactCorpus : public ::testing::Test {
     cfg.domain.memory_cap_bytes = 64ull * 1024 * 1024;
     cfg.domain.dim_max = 8000;
     cfg.domain.seed = 7;
-    TrainOptions opts;
-    opts.candidates = {"decision_tree"};
-    opts.tune = false;
-    AdsalaGemm runtime(train_and_select(gather_timings(ex, cfg), opts));
-    runtime.save(model_path(), config_path());
-  }
-  static void TearDownTestSuite() {
-    std::filesystem::remove_all(*dir_);
-    delete dir_;
-    dir_ = nullptr;
+    return gather_timings(ex, cfg);
   }
 
   static std::string model_path() { return *dir_ + "/model.json"; }
@@ -258,6 +267,29 @@ TEST_F(ArtefactCorpus, NonPositiveThreadGridEntryRejected) {
 TEST_F(ArtefactCorpus, NonPositiveMaxThreadsRejected) {
   auto [model, config] = scratch_copy("bad_max");
   rewrite_json(config, [](Json& doc) { doc["max_threads"] = Json(0); });
+  EXPECT_EQ(load_error(model, config), ErrorCode::kValidationError);
+}
+
+TEST_F(ArtefactCorpus, ThreadGridEntryBeyondIntRangeRejected) {
+  auto [model, config] = scratch_copy("huge_grid");
+  rewrite_json(config, [](Json& doc) {
+    doc["thread_grid"] = Json(JsonArray{Json(1), Json(1e12)});
+  });
+  EXPECT_EQ(load_error(model, config), ErrorCode::kValidationError);
+}
+
+TEST_F(ArtefactCorpus, MaxThreadsBeyondIntRangeRejected) {
+  auto [model, config] = scratch_copy("huge_max");
+  rewrite_json(config, [](Json& doc) { doc["max_threads"] = Json(1e300); });
+  EXPECT_EQ(load_error(model, config), ErrorCode::kValidationError);
+}
+
+TEST_F(ArtefactCorpus, EditedChildIndexRejected) {
+  // The root's left child pointed back at the root: a walk that never
+  // ends. The decoder refuses it before any query can follow it.
+  auto [model, config] = scratch_copy("edited_child");
+  rewrite_json(model,
+               [](Json& doc) { doc["left"].as_array()[0] = Json(0); });
   EXPECT_EQ(load_error(model, config), ErrorCode::kValidationError);
 }
 
@@ -429,6 +461,149 @@ TEST_F(ArtefactCorpus, ThrowingConstructorReportsTryLoadMessage) {
     FAIL() << "constructor must throw on a torn config";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(config), std::string::npos);
+  }
+}
+
+// -------------------------------------------------- model-structure fuzz
+
+/// Counts the decisions of the 148-query `adsala_cli predict` set (36 GEMM
+/// shapes, 28 shapes per other op) that are not a thread count on the grid.
+int off_grid_answers(const AdsalaGemm& rt) {
+  const auto& grid = rt.thread_grid();
+  int off = 0;
+  const auto check = [&](int p) {
+    off += std::find(grid.begin(), grid.end(), p) == grid.end();
+  };
+  for (long m : {16L, 200L, 1024L, 8000L}) {
+    for (long k : {64L, 517L, 3000L}) {
+      for (long n : {16L, 517L, 8000L}) check(rt.select_threads(m, k, n));
+    }
+  }
+  for (const blas::OpKind op : blas::all_ops()) {
+    if (op == blas::OpKind::kGemm) continue;
+    for (long x : {16L, 64L, 200L, 517L, 1024L, 3000L, 8000L}) {
+      for (long y : {16L, 200L, 1024L, 8000L}) {
+        check(rt.select_threads(op, x, y));
+      }
+    }
+  }
+  return off;
+}
+
+/// Seeded mutational fuzz of the tree models' structure, the part of a
+/// model file the finite-weight walk cannot judge. Each tree model is
+/// fitted on the corpus install's preprocessed gather; every case edits
+/// 1-3 child indices, feature indices or per-node array lengths of its
+/// saved blob and loads it beside the corpus config. A case must fail with
+/// validation_error, or load and answer all 148 queries with a thread
+/// count on the grid: never crash, hang or read out of bounds.
+TEST_F(ArtefactCorpus, MutatedTreeStructureLoadsOrFailsValidation) {
+  auto good = AdsalaGemm::try_load(model_path(), config_path());
+  ASSERT_TRUE(good.ok()) << good.error().message;
+  const preprocess::Pipeline& pipe = good.value().snapshot()->pipeline;
+  const int width = static_cast<int>(pipe.kept_features().size());
+  const ml::Dataset raw = corpus_timings().to_dataset();
+  std::vector<std::string> kept;
+  for (std::size_t j : pipe.kept_features()) {
+    kept.push_back(raw.feature_names()[j]);
+  }
+  ml::Dataset train(kept);
+  for (std::size_t i = 0; i < raw.size(); ++i) {
+    train.add_row(pipe.transform_row(raw.row(i)),
+                  pipe.transform_label(raw.label(i)));
+  }
+  const Json stamp = read_json_file(model_path()).at("format");
+  const std::string path = *dir_ + "/fuzz_model.json";
+
+  const std::pair<const char*, ml::Params> models[] = {
+      {"decision_tree", {{"max_depth", 8}}},
+      {"random_forest", {{"n_estimators", 4}, {"max_depth", 6}}},
+      {"adaboost", {{"n_estimators", 4}, {"max_depth", 4}}},
+      {"xgboost", {{"n_estimators", 8}, {"max_depth", 4}}},
+      {"lightgbm", {{"n_estimators", 8}, {"num_leaves", 8}}}};
+  const char* arrays[] = {"feature", "threshold", "value", "left", "right"};
+  constexpr int kCases = 1000;
+  std::mt19937_64 rng(20261022);
+  auto below = [&rng](std::uint64_t n) {
+    return static_cast<int>(rng() % n);
+  };
+  for (const auto& [name, params] : models) {
+    auto model = ml::make_model(name, params);
+    model->fit(train);
+    Json pristine = model->save();
+    pristine["format"] = stamp;
+    int loaded = 0;
+    for (int c = 0; c < kCases; ++c) {
+      Json blob = pristine;
+      std::vector<Json*> trees;
+      if (blob.contains("trees")) {
+        for (Json& t : blob["trees"].as_array()) trees.push_back(&t);
+      } else {
+        trees.push_back(&blob);
+      }
+      const int edits = 1 + below(3);
+      for (int e = 0; e < edits; ++e) {
+        Json& tree = *trees[static_cast<std::size_t>(
+            below(trees.size()))];
+        const int n = static_cast<int>(tree["feature"].as_array().size());
+        if (n == 0) continue;
+        const auto node = static_cast<std::size_t>(below(n));
+        switch (below(3)) {
+          case 0: {  // a child index: on, beside or past the range rules
+            const double i = static_cast<double>(node), end = n;
+            const double picks[] = {-1.0,      0.0,     i,
+                                    i - 1.0,   i + 1.0, end - 1.0,
+                                    end,       end + 1.0,
+                                    below(2 * n + 2) - end - 1.0,
+                                    2147483647.0,       1e12,
+                                    i + 0.5};
+            JsonArray& a = tree[below(2) ? "left" : "right"].as_array();
+            if (node < a.size()) {
+              a[node] = Json(picks[below(std::size(picks))]);
+            }
+            break;
+          }
+          case 1: {  // a feature index, leaves included
+            const double w = width;
+            const double picks[] = {-1.0,    -2.0,   0.0,
+                                    w - 1.0, w,      w + 1.0,
+                                    below(2 * width + 2) - 1.0,
+                                    1e12,    1.5};
+            JsonArray& a = tree["feature"].as_array();
+            a[node] = Json(picks[below(std::size(picks))]);
+            break;
+          }
+          default: {  // one per-node array one longer, shorter or empty
+            JsonArray& a = tree[arrays[below(std::size(arrays))]].as_array();
+            switch (below(3)) {
+              case 0: if (!a.empty()) a.pop_back(); break;
+              case 1: a.emplace_back(below(n + 1)); break;
+              default: a.clear(); break;
+            }
+            break;
+          }
+        }
+      }
+      write_json_file(path, blob);
+      try {
+        auto rt = AdsalaGemm::try_load(path, config_path());
+        if (!rt.ok()) {
+          EXPECT_EQ(rt.error().code, ErrorCode::kValidationError)
+              << name << " case " << c << ": " << rt.error().message;
+          continue;
+        }
+        ++loaded;
+        EXPECT_EQ(off_grid_answers(rt.value()), 0)
+            << name << " case " << c;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << name << " case " << c << " threw: " << e.what();
+      }
+    }
+    std::printf("[ fuzz     ] %s: %d of %d mutated models loaded\n", name,
+                loaded, kCases);
+    // Edits a walk never follows (a leaf's child slots) still load.
+    EXPECT_GT(loaded, 0) << name;
+    EXPECT_LT(loaded, kCases) << name;
   }
 }
 

@@ -76,15 +76,6 @@ TEST(RandomForest, DeterministicForSeed) {
   EXPECT_DOUBLE_EQ(a.predict_one(x), b.predict_one(x));
 }
 
-TEST(RandomForest, SaveLoadRoundTrip) {
-  RandomForest model({{"n_estimators", 10}});
-  model.fit(make_surface(150, 8));
-  RandomForest restored;
-  restored.load(model.save());
-  const std::vector<double> x = {1.0, 1.0, 1.0};
-  EXPECT_DOUBLE_EQ(restored.predict_one(x), model.predict_one(x));
-}
-
 // --------------------------------------------------------------- AdaBoost
 
 TEST(AdaBoost, LearnsNonLinearSurface) {
@@ -112,15 +103,6 @@ TEST(AdaBoost, StopsEarlyOnPerfectFit) {
   AdaBoostR2 model({{"n_estimators", 100}, {"max_depth", 3}});
   model.fit(data);
   EXPECT_LT(model.n_trees(), 100u) << "perfect member should stop boosting";
-}
-
-TEST(AdaBoost, SaveLoadRoundTrip) {
-  AdaBoostR2 model({{"n_estimators", 15}});
-  model.fit(make_surface(150, 11));
-  AdaBoostR2 restored;
-  restored.load(model.save());
-  const std::vector<double> x = {-1.0, 0.5, 0.7};
-  EXPECT_DOUBLE_EQ(restored.predict_one(x), model.predict_one(x));
 }
 
 // ---------------------------------------------------------------- XGBoost
@@ -172,19 +154,6 @@ TEST(Xgboost, SubsamplingIsDeterministicPerSeed) {
   EXPECT_DOUBLE_EQ(a.predict_one(x), b.predict_one(x));
 }
 
-TEST(Xgboost, SaveLoadRoundTrip) {
-  XgbRegressor model({{"n_estimators", 25}});
-  model.fit(make_surface(200, 15));
-  XgbRegressor restored;
-  restored.load(model.save());
-  Rng rng(16);
-  for (int i = 0; i < 30; ++i) {
-    const std::vector<double> x = {rng.uniform(-2, 2), rng.uniform(-2, 2),
-                                   rng.uniform(-2, 2)};
-    EXPECT_DOUBLE_EQ(restored.predict_one(x), model.predict_one(x));
-  }
-}
-
 // --------------------------------------------------------------- LightGBM
 
 TEST(LightGbm, LearnsNonLinearSurface) {
@@ -222,19 +191,6 @@ TEST(LightGbm, HandlesConstantFeature) {
   EXPECT_GT(model.predict_one(std::vector<double>{5.0, 0.9}), 0.0);
 }
 
-TEST(LightGbm, SaveLoadRoundTrip) {
-  LightGbmRegressor model({{"n_estimators", 20}});
-  model.fit(make_surface(200, 20));
-  LightGbmRegressor restored;
-  restored.load(model.save());
-  Rng rng(21);
-  for (int i = 0; i < 30; ++i) {
-    const std::vector<double> x = {rng.uniform(-2, 2), rng.uniform(-2, 2),
-                                   rng.uniform(-2, 2)};
-    EXPECT_DOUBLE_EQ(restored.predict_one(x), model.predict_one(x));
-  }
-}
-
 // Property: every ensemble handles single-feature, few-row datasets.
 class EnsembleEdgeTest : public ::testing::TestWithParam<const char*> {};
 
@@ -253,7 +209,7 @@ TEST_P(EnsembleEdgeTest, TinyDatasetDoesNotCrash) {
 TEST_P(EnsembleEdgeTest, RegistryRoundTrip) {
   auto model = make_model(GetParam(), {{"n_estimators", 8}});
   model->fit(make_surface(120, 22));
-  auto restored = load_model(model->save());
+  auto restored = load_model(model->save(), 3);
   EXPECT_EQ(restored->name(), model->name());
   const std::vector<double> x = {0.4, 0.6, -0.3};
   EXPECT_DOUBLE_EQ(restored->predict_one(x), model->predict_one(x));

@@ -89,16 +89,6 @@ TEST(LinearRegression, EmptyDatasetThrows) {
   EXPECT_THROW(model.fit(data), std::invalid_argument);
 }
 
-TEST(LinearRegression, SaveLoadRoundTrip) {
-  const Dataset data = make_linear_data(100, 0.1, 7);
-  LinearRegression model;
-  model.fit(data);
-  LinearRegression restored;
-  restored.load(model.save());
-  const std::vector<double> x = {0.3, -1.2};
-  EXPECT_DOUBLE_EQ(restored.predict_one(x), model.predict_one(x));
-}
-
 TEST(ElasticNet, LassoZeroesIrrelevantFeature) {
   // x2 is pure noise; a strong L1 penalty must zero its coefficient.
   Dataset data({"x0", "x1", "noise"});
@@ -133,16 +123,6 @@ TEST(ElasticNet, StrongPenaltyShrinksTowardMean) {
   EXPECT_NEAR(model.coefficients()[1], 0.0, 1e-3);
 }
 
-TEST(ElasticNet, SaveLoadRoundTrip) {
-  const Dataset data = make_linear_data(80, 0.2, 19);
-  ElasticNet model({{"alpha", 0.01}});
-  model.fit(data);
-  ElasticNet restored;
-  restored.load(model.save());
-  const std::vector<double> x = {1.1, 0.4};
-  EXPECT_DOUBLE_EQ(restored.predict_one(x), model.predict_one(x));
-}
-
 TEST(BayesianRidge, RecoversCoefficientsOnCleanData) {
   const Dataset data = make_linear_data(300, 0.05, 23);
   BayesianRidge model;
@@ -157,15 +137,6 @@ TEST(BayesianRidge, NoisePrecisionTracksNoiseLevel) {
   high_noise.fit(make_linear_data(400, 2.0, 31));
   // alpha = 1/sigma^2: more label noise -> smaller precision.
   EXPECT_GT(low_noise.noise_precision(), high_noise.noise_precision());
-}
-
-TEST(BayesianRidge, SaveLoadRoundTrip) {
-  BayesianRidge model;
-  model.fit(make_linear_data(100, 0.3, 37));
-  BayesianRidge restored;
-  restored.load(model.save());
-  const std::vector<double> x = {-0.7, 2.2};
-  EXPECT_DOUBLE_EQ(restored.predict_one(x), model.predict_one(x));
 }
 
 // Property: all linear models improve on the mean predictor for a linear

@@ -189,21 +189,6 @@ TEST(Knn, KLargerThanDatasetClamps) {
   EXPECT_DOUBLE_EQ(model.predict_one(std::vector<double>{0.5}), 3.0);
 }
 
-TEST(Knn, SaveLoadRoundTrip) {
-  Dataset data({"x"});
-  Rng rng(4);
-  for (int i = 0; i < 50; ++i) {
-    const double x = rng.uniform(-1, 1);
-    data.add_row(std::vector<double>{x}, x * x);
-  }
-  KnnRegressor model({{"k", 3}});
-  model.fit(data);
-  KnnRegressor restored;
-  restored.load(model.save());
-  EXPECT_DOUBLE_EQ(restored.predict_one(std::vector<double>{0.3}),
-                   model.predict_one(std::vector<double>{0.3}));
-}
-
 // ------------------------------------------------------------- Grid search
 
 TEST(GridSearch, ExpandGridCartesianProduct) {

@@ -124,18 +124,6 @@ TEST(DecisionTree, DeterministicForFixedSeed) {
   }
 }
 
-TEST(DecisionTree, SaveLoadRoundTrip) {
-  DecisionTree tree({{"max_depth", 6}});
-  tree.fit(noisy_surface(200, 11));
-  DecisionTree restored;
-  restored.load(tree.save());
-  Rng rng(13);
-  for (int i = 0; i < 50; ++i) {
-    const std::vector<double> x = {rng.uniform(-3, 3), rng.uniform(-3, 3)};
-    EXPECT_DOUBLE_EQ(restored.predict_one(x), tree.predict_one(x));
-  }
-}
-
 TEST(DecisionTree, UnfittedPredictsZero) {
   DecisionTree tree;
   EXPECT_DOUBLE_EQ(tree.predict_one(std::vector<double>{1.0}), 0.0);

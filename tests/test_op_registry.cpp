@@ -92,22 +92,22 @@ TEST(OpRegistry, RegistrySamplersMatchTheNamedOnes) {
   }
 }
 
-TEST(OpRegistry, CostModelsMatchTheMachineModelConvenienceMethods) {
-  // The registry's analytic path and the legacy time_/measure_ methods must
-  // agree exactly — they share the same OpCostModel constants.
+TEST(OpRegistry, CostModelsAreTheMachineModelConstants) {
+  // The registry rows of the built-in family evaluate the simarch cost
+  // constants exactly, and GEMM's identity cost model is time_gemm.
   simarch::MachineModel model(simarch::gadi_topology(), 42);
   const simarch::GemmShape tri{800, 800, 400, 4};  // m == k family shape
   const simarch::GemmShape syrk{800, 400, 800, 4};  // m == n family shape
   const simarch::ExecPolicy policy{.nthreads = 16};
   EXPECT_DOUBLE_EQ(
       model.measure_op(syrk, policy, op_traits(blas::OpKind::kSyrk).cost),
-      model.measure_syrk(syrk, policy));
+      model.measure_op(syrk, policy, simarch::kSyrkCostModel));
   EXPECT_DOUBLE_EQ(
       model.measure_op(tri, policy, op_traits(blas::OpKind::kTrsm).cost),
-      model.measure_trsm(tri, policy));
+      model.measure_op(tri, policy, simarch::kTrsmCostModel));
   EXPECT_DOUBLE_EQ(
       model.measure_op(tri, policy, op_traits(blas::OpKind::kSymm).cost),
-      model.measure_symm(tri, policy));
+      model.measure_op(tri, policy, simarch::kSymmCostModel));
   EXPECT_DOUBLE_EQ(
       model.measure_op(tri, policy, op_traits(blas::OpKind::kGemm).cost),
       model.measure_gemm(tri, policy));
@@ -130,7 +130,7 @@ TEST(OpRegistry, TrmmCostSitsBetweenTriangleAndGemm) {
       model.measure_op(s, policy, op_traits(blas::OpKind::kTrmm).cost),
       model.measure_op(s, policy, op_traits(blas::OpKind::kTrmm).cost));
   EXPECT_NE(model.measure_op(s, policy, op_traits(blas::OpKind::kTrmm).cost),
-            model.measure_trsm(s, policy));
+            model.measure_op(s, policy, op_traits(blas::OpKind::kTrsm).cost));
 }
 
 // -------------------------------------------------- TRMM through the stack --

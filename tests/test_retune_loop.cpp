@@ -17,6 +17,7 @@
 //   5. `rollback()` republishes the old version as a NEW version —
 //      monotonic, never a rewind.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -96,7 +97,10 @@ void log_traffic(const GatherData& data, const AdsalaGemm& runtime,
 class RetuneLoop : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = (fs::temp_directory_path() / "adsala_retune_loop").string();
+    // Per process, so concurrent runs never remove each other's stores.
+    dir_ = (fs::temp_directory_path() /
+            ("adsala_retune_loop_" + std::to_string(::getpid())))
+               .string();
     telemetry_ = dir_ + "/telemetry.bin";
     fs::remove_all(dir_);
     fs::create_directories(dir_);

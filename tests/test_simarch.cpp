@@ -124,7 +124,7 @@ TEST(MachineModel, SyrkScalesKernelOnly) {
   const auto s = shape(800, 400, 800);
   const ExecPolicy policy{.nthreads = 8};
   const auto gemm = model.time_gemm(s, policy);
-  const auto syrk = model.time_syrk(s, policy);
+  const auto syrk = model.time_op(s, policy, kSyrkCostModel);
   // Kernel scales by the triangle fraction (n + 1) / (2n)...
   EXPECT_NEAR(syrk.kernel_s, gemm.kernel_s * (800.0 + 1.0) / 1600.0,
               1e-12 * gemm.kernel_s);
@@ -138,14 +138,14 @@ TEST(MachineModel, SyrkMeasurementDeterministicAndDecorrelated) {
   MachineModel model(gadi_topology(), 42);
   const auto s = shape(500, 500, 500);
   const ExecPolicy policy{.nthreads = 16};
-  EXPECT_DOUBLE_EQ(model.measure_syrk(s, policy),
-                   model.measure_syrk(s, policy));
+  EXPECT_DOUBLE_EQ(model.measure_op(s, policy, kSyrkCostModel),
+                   model.measure_op(s, policy, kSyrkCostModel));
   // Distinct noise stream: the syrk/gemm ratio is not exactly the noise-free
   // kernel ratio.
-  const double ratio = model.measure_syrk(s, policy) /
+  const double ratio = model.measure_op(s, policy, kSyrkCostModel) /
                        model.measure_gemm(s, policy);
-  const double clean_ratio =
-      model.time_syrk(s, policy).total() / model.time_gemm(s, policy).total();
+  const double clean_ratio = model.time_op(s, policy, kSyrkCostModel).total() /
+                             model.time_gemm(s, policy).total();
   EXPECT_NE(ratio, clean_ratio);
   EXPECT_LT(ratio, 1.0) << "syrk does half the kernel work";
 }
@@ -155,7 +155,7 @@ TEST(MachineModel, TrsmPaysSerialChainAndExtraSync) {
   const GemmShape s{800, 800, 400, 4};  // triangle n = 800, 400 RHS columns
   const ExecPolicy policy{.nthreads = 8};
   const auto gemm = model.time_gemm(s, policy);
-  const auto trsm = model.time_trsm(s, policy);
+  const auto trsm = model.time_op(s, policy, kTrsmCostModel);
   // Kernel: triangle fraction of the GEMM work plus the single-thread
   // diagonal-solve chain — strictly above the pure triangle scaling, but
   // (for a multi-thread team) the chain term must actually show up.
@@ -173,7 +173,7 @@ TEST(MachineModel, TrsmSingleThreadHasNoSerialSurcharge) {
   const GemmShape s{600, 600, 300, 4};
   const ExecPolicy policy{.nthreads = 1};
   const auto gemm = model.time_gemm(s, policy);
-  const auto trsm = model.time_trsm(s, policy);
+  const auto trsm = model.time_op(s, policy, kTrsmCostModel);
   EXPECT_NEAR(trsm.kernel_s, gemm.kernel_s * (600.0 + 1.0) / 1200.0,
               1e-12 * gemm.kernel_s);
 }
@@ -183,7 +183,7 @@ TEST(MachineModel, SymmChargesThePackingStream) {
   const GemmShape s{800, 800, 400, 4};
   const ExecPolicy policy{.nthreads = 8};
   const auto gemm = model.time_gemm(s, policy);
-  const auto symm = model.time_symm(s, policy);
+  const auto symm = model.time_op(s, policy, kSymmCostModel);
   // Same FLOPs as GEMM; only the symmetric-expansion copy surcharge moves.
   EXPECT_DOUBLE_EQ(symm.kernel_s, gemm.kernel_s);
   EXPECT_GT(symm.copy_s, gemm.copy_s);
@@ -194,17 +194,21 @@ TEST(MachineModel, FamilyMeasurementsDeterministicAndDecorrelated) {
   MachineModel model(gadi_topology(), 42);
   const GemmShape s{500, 500, 500, 4};
   const ExecPolicy policy{.nthreads = 16};
-  EXPECT_DOUBLE_EQ(model.measure_trsm(s, policy),
-                   model.measure_trsm(s, policy));
-  EXPECT_DOUBLE_EQ(model.measure_symm(s, policy),
-                   model.measure_symm(s, policy));
+  EXPECT_DOUBLE_EQ(model.measure_op(s, policy, kTrsmCostModel),
+                   model.measure_op(s, policy, kTrsmCostModel));
+  EXPECT_DOUBLE_EQ(model.measure_op(s, policy, kSymmCostModel),
+                   model.measure_op(s, policy, kSymmCostModel));
   // Distinct noise streams: measured ratios differ from the noise-free ones.
-  EXPECT_NE(model.measure_trsm(s, policy) / model.measure_gemm(s, policy),
-            model.time_trsm(s, policy).total() /
-                model.time_gemm(s, policy).total());
-  EXPECT_NE(model.measure_symm(s, policy) / model.measure_trsm(s, policy),
-            model.time_symm(s, policy).total() /
-                model.time_trsm(s, policy).total());
+  const auto measured = [&](const OpCostModel& cost) {
+    return model.measure_op(s, policy, cost);
+  };
+  const auto clean = [&](const OpCostModel& cost) {
+    return model.time_op(s, policy, cost).total();
+  };
+  EXPECT_NE(measured(kTrsmCostModel) / model.measure_gemm(s, policy),
+            clean(kTrsmCostModel) / model.time_gemm(s, policy).total());
+  EXPECT_NE(measured(kSymmCostModel) / measured(kTrsmCostModel),
+            clean(kSymmCostModel) / clean(kTrsmCostModel));
 }
 
 TEST(MachineModel, MeasurementIsDeterministic) {
